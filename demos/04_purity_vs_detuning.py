@@ -23,4 +23,4 @@ with tempfile.TemporaryDirectory() as out_dir:
               f"{s['purity_final']:13.4f} {s['transfer_efficiency']:9.4f}")
 
 print("\nthe same sweep is available from the shell:")
-print("  threelevel sweep purity_delta_fig4 --out-dir ./tables")
+print("  threelevel --out-dir ./tables sweep purity_delta_fig4")

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .dissipation import DerivedRates, derived_rates as _derived_rates
 from .evolution import Trajectory
@@ -93,13 +92,18 @@ def _schedule_arrays(schedule: PulseSchedule, grid: np.ndarray):
     return theta, phi, theta_dot, phi_dot, lam2, lam3
 
 
+def _cumulative_trapezoid(y, x):
+    """Trapezoid-rule integrals of y from x[0] to each x, for 1-d arrays."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1])
+                                            / 2.0)))
+
+
 def _oscillatory(grid, f, rate, conj_phase=False):
     """I(t) = int_0^t f(t') exp(+-i [phase(t) - phase(t')]) dt' with
     phase = cumulative integral of `rate`."""
-    phase = cumulative_trapezoid(rate, grid, initial=0.0)
+    phase = _cumulative_trapezoid(rate, grid)
     sign = -1.0 if conj_phase else 1.0
-    inner = cumulative_trapezoid(f * np.exp(-1j * sign * phase), grid,
-                                 initial=0.0)
+    inner = _cumulative_trapezoid(f * np.exp(-1j * sign * phase), grid)
     return np.exp(1j * sign * phase) * inner
 
 
@@ -129,11 +133,10 @@ def quadrature_solution(which: str, schedule: PulseSchedule,
     gc = rates.gamma_c
     sin2t = np.sin(2.0 * theta)
     if which == "dark_R11":
-        values = 1.0 - 0.5 * gc * cumulative_trapezoid(
-            sin2t ** 2, grid, initial=0.0)
+        values = 1.0 - 0.5 * gc * _cumulative_trapezoid(sin2t ** 2, grid)
     elif which == "dark_R22":
-        values = 0.5 * gc * cumulative_trapezoid(
-            sin2t ** 2 * np.cos(phi) ** 2, grid, initial=0.0)
+        values = 0.5 * gc * _cumulative_trapezoid(
+            sin2t ** 2 * np.cos(phi) ** 2, grid)
     elif which == "dark_R21":
         f = (0.25 * gc * np.sin(4.0 * theta) - theta_dot) * np.cos(phi)
         values = _oscillatory(grid, f, lam2)
@@ -144,11 +147,9 @@ def quadrature_solution(which: str, schedule: PulseSchedule,
         f = 0.25 * gc * sin2t ** 2 * np.sin(2.0 * phi)
         values = _oscillatory(grid, f, lam3 - lam2)
     elif which == "b_R11":
-        values = 0.5 * gc * cumulative_trapezoid(sin2t ** 2, grid,
-                                                 initial=0.0)
+        values = 0.5 * gc * _cumulative_trapezoid(sin2t ** 2, grid)
     elif which == "b_R22":
-        values = 1.0 - 0.5 * gc * cumulative_trapezoid(sin2t ** 2, grid,
-                                                       initial=0.0)
+        values = 1.0 - 0.5 * gc * _cumulative_trapezoid(sin2t ** 2, grid)
     elif which == "b_R12":
         f = 0.25 * gc * np.sin(4.0 * theta) - theta_dot
         values = _oscillatory(grid, f, lam2, conj_phase=True)

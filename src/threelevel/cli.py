@@ -8,14 +8,14 @@ and the Hadamard-type hold at theta = pi/4.
 
 Command line:
 
-    threelevel run <config-or-builtin>
-    threelevel sweep <config-or-builtin>
+    threelevel [flags] run <config-or-builtin>
+    threelevel [flags] sweep <config-or-builtin>
     threelevel list-builtins
-    threelevel validate <config-or-builtin>
+    threelevel [flags] validate <config-or-builtin>
 
-with flags --out-dir (default from THREELEVEL_OUT_DIR or cwd), --workers,
---samples, --method, --tol.  Exit codes: 0 success, 2 config error,
-3 numerical failure.
+with flags, given before the subcommand, --out-dir (default from
+THREELEVEL_OUT_DIR or cwd), --workers, --samples, --method, --tol.  Exit
+codes: 0 success, 2 config error, 3 numerical failure.
 """
 
 import argparse
@@ -197,6 +197,11 @@ def build_config(mapping: dict) -> ScenarioConfig:
             if not values:
                 problems[key] = "empty sweep values"
                 continue
+            if _KEY_TABLE[target][1] is int:
+                if not all(v.is_integer() for v in values):
+                    problems[key] = "integer key swept with non-integral values"
+                    continue
+                values = tuple(int(v) for v in values)
             sweeps.append((target, values))
             continue
         if key not in _KEY_TABLE:
@@ -235,6 +240,10 @@ def _validate_config(cfg: ScenarioConfig):
         problems["propagator.rel_tol"] = "tolerances must be positive"
     if cfg.samples < 2:
         problems["output.samples"] = "need at least 2 samples"
+    try:
+        _sweep_points(cfg)
+    except ConfigError as exc:
+        problems.update(exc.problems)
     if problems:
         raise ConfigError(problems)
 
@@ -404,22 +413,27 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
                      summary=summarize(traj))
 
 
-def _sweep_points(cfg: ScenarioConfig):
-    axes = [(key, values) for key, values in cfg.sweep]
-    for combo in itertools.product(*(values for _, values in axes)):
-        tags = [f"{key.split('.')[-1]}={value:g}"
-                for (key, _), value in zip(axes, combo)]
+def _sweep_points(cfg: ScenarioConfig) -> list:
+    """(scenario ID, point config, build error) per grid point, in grid
+    order.  IDs tag each axis with the repr of its value; two points with
+    one ID would write one table, so that raises ConfigError."""
+    keys = [key for key, _ in cfg.sweep]
+    points = []
+    for combo in itertools.product(*(values for _, values in cfg.sweep)):
+        tags = [f"{key.split('.')[-1]}={value!r}"
+                for key, value in zip(keys, combo)]
         scenario_id = "__".join([cfg.scenario] + tags)
-        point = replace(cfg, sweep=())
+        point, error = replace(cfg, sweep=()), None
         try:
-            for (key, _), value in zip(axes, combo):
-                path, convert = _KEY_TABLE[key]
-                point = _set_field(
-                    point, path, int(value) if convert is int else float(value))
+            for key, value in zip(keys, combo):
+                point = _set_field(point, _KEY_TABLE[key][0], value)
         except ValueError as exc:
-            yield scenario_id, point, str(exc)
-            continue
-        yield scenario_id, point, None
+            error = str(exc)
+        points.append((scenario_id, point, error))
+    if len({scenario_id for scenario_id, _, _ in points}) < len(points):
+        raise ConfigError({"sweep": "two points share a scenario ID "
+                                    "(a value is repeated)"})
+    return points
 
 
 def run_sweep(cfg: ScenarioConfig, out_dir: str, workers: int = 1) -> list:
@@ -427,7 +441,7 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str, workers: int = 1) -> list:
     index and per-point failures are recorded without aborting the sweep."""
     if not cfg.sweep:
         return [run_scenario(cfg, out_dir)]
-    points = list(_sweep_points(cfg))
+    points = _sweep_points(cfg)
 
     def one(item):
         scenario_id, point, build_error = item
@@ -522,7 +536,9 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     return cfg
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
+    """Global flags come before the subcommand:
+    ``threelevel --out-dir tables run stirap_fig2``."""
     parser = argparse.ArgumentParser(
         prog="threelevel",
         description="dissipative three-level scenario runner")
@@ -543,7 +559,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(verb)
         p.add_argument("config", help="config file path or builtin name")
     sub.add_parser("list-builtins")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
 
     if args.command == "list-builtins":
         for name in sorted(BUILTINS):

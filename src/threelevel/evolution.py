@@ -10,23 +10,25 @@ and its dressed-basis counterpart, with R = U^dag rho U and F = U^dag dU/dt,
 
 Integration state is the real 9-vector (three populations plus real and
 imaginary parts of the upper-triangle coherences), so Hermiticity is
-structural; the trace is monitored, never renormalized.  Three propagation
-routes are provided: an embedded adaptive Runge-Kutta pair (Dormand-Prince
-5(4) or 8(5,3)), a fixed-step classical RK4, and a matrix-exponential oracle
-that takes fourth-order Magnus steps (two Gauss nodes per slice) on the real
-9x9 generator.
+structural; the trace is monitored, never renormalized.  Both right-hand
+sides multiply it by a real 9x9 generator combined from fixed blocks: the
+bare one is D + Omega_p Bp + Omega_c Bc + Delta Bd, the dressed one
+lam2 C2 + lam3 C3 + [., F] + W^-1 D W, with W the superoperator of
+R -> U R U^T.  Three propagation routes are provided: an embedded adaptive
+Runge-Kutta pair (Dormand-Prince 5(4) or 8(5,3)), a fixed-step classical
+RK4, and a matrix-exponential oracle that takes fourth-order Magnus steps
+(two Gauss nodes per slice) on the bare generator.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
+import scipy   # submodules load on first use, keeping `import threelevel` light
 
 from . import adiabatic
 from .dissipation import Configuration, RateSet, dissipator, lindblad_ops
-from .matops import dagger, ketbra
+from .matops import ketbra
 from .pulses import PulseSchedule
 
 TRACE_TOL = 1e-8
@@ -134,30 +136,49 @@ def real_superop(apply_map) -> np.ndarray:
     return m
 
 
+def _commutator_superop(a: np.ndarray, scale: complex) -> np.ndarray:
+    """9x9 real matrix of rho -> scale * [a, rho]."""
+    return real_superop(lambda rho: scale * (a @ rho - rho @ a))
+
+
 # Commutator superoperators for the three Hamiltonian building blocks;
 # the drive-dependent generator is their pointwise linear combination.
-_BP = real_superop(lambda rho: -1j * ((ketbra(1, 3) + ketbra(3, 1)) @ rho
-                                      - rho @ (ketbra(1, 3) + ketbra(3, 1))))
-_BC = real_superop(lambda rho: -1j * ((ketbra(2, 3) + ketbra(3, 2)) @ rho
-                                      - rho @ (ketbra(2, 3) + ketbra(3, 2))))
-_BD = real_superop(lambda rho: -1j * (ketbra(3, 3) @ rho - rho @ ketbra(3, 3)))
+_BP = _commutator_superop(ketbra(1, 3) + ketbra(3, 1), -1j)
+_BC = _commutator_superop(ketbra(2, 3) + ketbra(3, 2), -1j)
+_BD = _commutator_superop(ketbra(3, 3), -1j)
 _DRIVES = np.stack([_BP, _BC, _BD])   # (3, 9, 9), for batched assembly
+
+# Dressed blocks, weighted by (lam2, lam3, theta' cos(phi), theta' sin(phi),
+# phi'): -i[diag(e_k), R] for k = 2, 3, then [R, E_ij - E_ji] for the
+# three antisymmetric generators of the frame rotation F.
+_DRESSED = np.stack([
+    _commutator_superop(ketbra(2, 2), -1j),
+    _BD,
+    _commutator_superop(ketbra(1, 2) - ketbra(2, 1), -1.0),
+    _commutator_superop(ketbra(1, 3) - ketbra(3, 1), -1.0),
+    _commutator_superop(ketbra(2, 3) - ketbra(3, 2), -1.0),
+]).reshape(5, 81)
+
+# Frobenius metric of the packed coordinates, tr(A B) = a . (G b), and the
+# Hermitian basis with rho = sum_b r_b B_b, so r_a = tr(B_a rho) / G_a.  A
+# real orthogonal U preserves the metric, so W^-1 = G^-1 W^T G.
+_G = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
+_BASIS = unpack_many(np.eye(9))
+# W[a, b] = tr(B_a U B_b U^T) / G_a is bilinear in the entries of a real U:
+# W = (_CONJ @ np.outer(u, u).ravel()).reshape(9, 9).
+_CONJ = (np.einsum("aqp,bij->abpiqj", _BASIS, _BASIS).real
+         / _G[:, None, None, None, None, None]).reshape(81, 81)
+
+
+def _conjugation(u: np.ndarray) -> np.ndarray:
+    """9x9 real matrix of R -> U R U^T for a real 3x3 U, given in any shape
+    with its entries in row-major order."""
+    u = np.ravel(u)
+    return (_CONJ @ (u[:, None] * u).ravel()).reshape(9, 9)
 
 
 def dissipator_superop(ops: list) -> np.ndarray:
     return real_superop(lambda rho: dissipator(ops, rho))
-
-
-def liouvillian_matrix(h: np.ndarray, ops: list) -> np.ndarray:
-    """Vectorized generator on the complex 9-dimensional space (row-major
-    vec convention), Hamiltonian commutator plus Lindblad dissipator."""
-    eye = np.eye(3)
-    m = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for op in ops:
-        anti = dagger(op) @ op
-        m += np.kron(op, op.conj()) \
-            - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
-    return m
 
 
 # --- validation ------------------------------------------------------------
@@ -259,10 +280,15 @@ def _solve_fixed_rk4(rhs, r0, horizon, times, n_steps):
     return grid[idx], out
 
 
-def _sample_times(horizon, samples):
+def _integrate(rhs, r0, horizon, samples, settings):
+    """Run the configured Runge-Kutta route; returns (times, states)."""
     if samples < 2:
         raise ValueError("need at least 2 output samples")
-    return np.linspace(0.0, horizon, samples)
+    times = np.linspace(0.0, horizon, samples)
+    if settings.method == "adaptive_rk":
+        return times, _solve_adaptive(rhs, r0, (0.0, horizon), times,
+                                      settings)
+    return _solve_fixed_rk4(rhs, r0, horizon, times, settings.n_steps)
 
 
 # --- public propagators ----------------------------------------------------
@@ -282,32 +308,26 @@ def propagate_bare(config: Configuration, rates: RateSet,
         return propagate_expm_oracle(config, rates, schedule, rho0,
                                      settings.n_slices, samples=samples,
                                      xi_appendix_verbatim=xi_appendix_verbatim)
-    ops = lindblad_ops(config, rates, xi_appendix_verbatim)
-    d9 = dissipator_superop(ops)
+    d9 = dissipator_superop(lindblad_ops(config, rates, xi_appendix_verbatim))
+    blocks = np.stack([d9, _BP, _BC, _BD]).reshape(4, 81)
     pump_sample = schedule.pump.sample
     stokes_sample = schedule.stokes.sample
     delta_scalar = schedule.delta_scalar
 
     if schedule.is_static:
-        gen = (d9 + pump_sample(0.0)[0] * _BP + stokes_sample(0.0)[0] * _BC
-               + delta_scalar(0.0)[0] * _BD)
+        gen = (np.array((1.0, pump_sample(0.0)[0], stokes_sample(0.0)[0],
+                         delta_scalar(0.0)[0])) @ blocks).reshape(9, 9)
 
         def rhs(t, r):
             return gen @ r
     else:
         def rhs(t, r):
-            op = pump_sample(t)[0]
-            oc = stokes_sample(t)[0]
-            dv = delta_scalar(t)[0]
-            return d9 @ r + op * (_BP @ r) + oc * (_BC @ r) + dv * (_BD @ r)
+            coef = np.array((1.0, pump_sample(t)[0], stokes_sample(t)[0],
+                             delta_scalar(t)[0]))
+            return (coef @ blocks).reshape(9, 9) @ r
 
-    times = _sample_times(schedule.horizon, samples)
-    if settings.method == "adaptive_rk":
-        ys = _solve_adaptive(rhs, pack(rho0), (0.0, schedule.horizon), times,
-                             settings)
-    else:
-        times, ys = _solve_fixed_rk4(rhs, pack(rho0), schedule.horizon,
-                                     times, settings.n_steps)
+    times, ys = _integrate(rhs, pack(rho0), schedule.horizon, samples,
+                           settings)
     return _assemble(times, unpack_many(ys), schedule)
 
 
@@ -319,9 +339,9 @@ def propagate_adiabatic(config: Configuration, rates: RateSet,
     """Propagate the dressed-basis master equation from R0 over the horizon.
 
     The frame (U, F, quasienergies) is evaluated analytically at every
-    right-hand-side call; the dissipator is applied by transforming to the
-    bare basis and back, which keeps the two propagators consistent by
-    construction.
+    right-hand-side call and weights the fixed dressed blocks; the
+    dissipator is the bare-basis one conjugated by the frame, W^-1 D W, which
+    keeps the two propagators consistent by construction.
     """
     settings = settings or PropagatorSettings()
     R0 = _validate_initial(R0, "R0")
@@ -329,7 +349,7 @@ def propagate_adiabatic(config: Configuration, rates: RateSet,
         raise ValueError("the expm oracle propagates the bare basis; "
                          "use propagate_expm_oracle")
     ops = lindblad_ops(config, rates, xi_appendix_verbatim)
-    d9 = dissipator_superop(ops)
+    gd9 = _G[:, None] * dissipator_superop(ops)
     dissipative = len(ops) > 0
     rabi_scalar = schedule.rabi_scalar
     delta_scalar = schedule.delta_scalar
@@ -338,17 +358,11 @@ def propagate_adiabatic(config: Configuration, rates: RateSet,
         # constant frame: F = 0, U and the quasienergies are fixed, so the
         # whole generator collapses to one constant real 9x9 matrix
         fr = adiabatic.frame(schedule, 0.0)
-        u = fr.U.real
-        lam = fr.lam
-
-        def apply_static(big_r):
-            comm = -1j * (lam[:, None] - lam[None, :]) * big_r
-            if not dissipative:
-                return comm
-            rho = u @ big_r @ u.T
-            return comm + u.T @ unpack(d9 @ pack(rho)) @ u
-
-        gen = real_superop(apply_static)
+        gen = (np.array((fr.lam[1], fr.lam[2], 0.0, 0.0, 0.0))
+               @ _DRESSED).reshape(9, 9)
+        if dissipative:
+            w = _conjugation(fr.U.real)
+            gen += (w.T @ gd9 @ w) / _G[:, None]
 
         def rhs(t, r):
             return gen @ r
@@ -356,48 +370,25 @@ def propagate_adiabatic(config: Configuration, rates: RateSet,
         def rhs(t, r):
             op, oc, dop, doc, omega, domega, _ = rabi_scalar(t)
             dv, ddv = delta_scalar(t)
-            theta = math.atan2(op, oc)
             phi = 0.5 * math.atan2(2.0 * omega, dv)
             root = math.hypot(dv, 2.0 * omega)
-            lam2, lam3 = 0.5 * (dv - root), 0.5 * (dv + root)
             theta_dot = (dop * oc - op * doc) / (omega * omega)
             phi_dot = (domega * dv - omega * ddv) / (dv * dv
                                                      + 4.0 * omega * omega)
-
-            st, ct = math.sin(theta), math.cos(theta)
             sp, cp = math.sin(phi), math.cos(phi)
-            big_r = unpack(r)
-
-            # -i [diag(lam), R]
-            out = np.empty((3, 3), dtype=complex)
-            out[0, 0] = out[1, 1] = out[2, 2] = 0.0
-            out[0, 1] = 1j * lam2 * big_r[0, 1]
-            out[0, 2] = 1j * lam3 * big_r[0, 2]
-            out[1, 2] = 1j * (lam3 - lam2) * big_r[1, 2]
-            out[1, 0] = np.conj(out[0, 1])
-            out[2, 0] = np.conj(out[0, 2])
-            out[2, 1] = np.conj(out[1, 2])
-
-            f = np.array([[0.0, theta_dot * cp, theta_dot * sp],
-                          [-theta_dot * cp, 0.0, phi_dot],
-                          [-theta_dot * sp, -phi_dot, 0.0]])
-            out += big_r @ f - f @ big_r
-
+            coef = np.array((0.5 * (dv - root), 0.5 * (dv + root),
+                             theta_dot * cp, theta_dot * sp, phi_dot))
+            out = (coef @ _DRESSED).reshape(9, 9) @ r
             if dissipative:
-                u = np.array([[ct, st * cp, st * sp],
-                              [-st, ct * cp, ct * sp],
-                              [0.0, -sp, cp]])
-                rho = u @ big_r @ u.T
-                out += u.T @ unpack(d9 @ pack(rho)) @ u
-            return pack(out)
+                theta = math.atan2(op, oc)
+                st, ct = math.sin(theta), math.cos(theta)
+                w = _conjugation(np.array((ct, st * cp, st * sp,
+                                           -st, ct * cp, ct * sp,
+                                           0.0, -sp, cp)))
+                out += (w.T @ (gd9 @ (w @ r))) / _G
+            return out
 
-    times = _sample_times(schedule.horizon, samples)
-    if settings.method == "adaptive_rk":
-        ys = _solve_adaptive(rhs, pack(R0), (0.0, schedule.horizon), times,
-                             settings)
-    else:
-        times, ys = _solve_fixed_rk4(rhs, pack(R0), schedule.horizon, times,
-                                     settings.n_steps)
+    times, ys = _integrate(rhs, pack(R0), schedule.horizon, samples, settings)
     big_r = unpack_many(ys)
     frames = adiabatic.frame_arrays(schedule, times)
     u = frames["U"]

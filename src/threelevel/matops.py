@@ -1,7 +1,7 @@
 """Dense complex 3x3 (and 9x9) linear algebra shared by every other module."""
 
 import numpy as np
-import scipy.linalg
+import scipy   # scipy.linalg loads on first use
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10

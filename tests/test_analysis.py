@@ -75,6 +75,19 @@ class TestAdiabaticPopulations:
 
 
 class TestQuadratures:
+    def test_cumulative_trapezoid_matches_scipy(self):
+        """The numpy trapezoid rule gives scipy's values bit for bit, on a
+        non-uniform grid, for real and complex integrands."""
+        from scipy.integrate import cumulative_trapezoid
+        from threelevel.analysis import _cumulative_trapezoid
+        rng = np.random.default_rng(7)
+        grid = np.sort(rng.uniform(0.0, 1.0, 101))
+        for y in (rng.normal(size=101),
+                  rng.normal(size=101) + 1j * rng.normal(size=101)):
+            np.testing.assert_array_equal(
+                _cumulative_trapezoid(y, grid),
+                cumulative_trapezoid(y, grid, initial=0.0))
+
     def test_zero_rate_dark_population_constant(self):
         s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
         der = derived_rates(Configuration.LAMBDA, RateSet(gamma1=0.5,

@@ -1,10 +1,16 @@
 import os
+import pathlib
+import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import threelevel
 from threelevel.cli import (BUILTINS, ConfigError, ScenarioConfig,
-                            TABLE_COLUMNS, build_config, emit_table,
+                            TABLE_COLUMNS, _build_parser, build_config,
+                            emit_table,
                             load_config, load_table, main, parse_config_text,
                             run_scenario, run_sweep, run_trajectory,
                             summarize)
@@ -48,6 +54,15 @@ class TestConfigParsing:
         cfg = build_config(parse_config_text(
             "sweep.detuning.delta0 = 100, 300, 1000\n"))
         assert cfg.sweep == (("detuning.delta0", (100.0, 300.0, 1000.0)),)
+
+    def test_integer_sweep_values(self):
+        cfg = build_config(parse_config_text(
+            "sweep.output.samples = 30, 40.0\n"))
+        assert cfg.sweep == (("output.samples", (30, 40)),)
+        with pytest.raises(ConfigError) as err:
+            build_config(parse_config_text(
+                "sweep.output.samples = 30, 2.5\n"))
+        assert "sweep.output.samples" in err.value.problems
 
     def test_non_numeric_sweep_target_rejected(self):
         with pytest.raises(ConfigError):
@@ -206,6 +221,18 @@ class TestRunSweep:
         assert records[1].error is not None
         assert records[2].error is None
 
+    def test_close_values_get_distinct_tables(self, tmp_path):
+        """Values equal to six significant digits still name two tables."""
+        cfg = self.small("sweep.detuning.delta0 = 1000.0001, 1000.0002\n")
+        records = run_sweep(cfg, str(tmp_path))
+        assert [r.scenario_id for r in records] == [
+            "sweep_demo__delta0=1000.0001", "sweep_demo__delta0=1000.0002"]
+        assert all(r.error is None for r in records)
+        assert len({r.table_path for r in records}) == 2
+        for r in records:
+            table = load_table(r.table_path)
+            assert table["delta"][0] == r.params["detuning.delta0"]
+
     def test_worker_pool_order_stable(self, tmp_path):
         cfg = self.small("sweep.detuning.delta0 = 200, 400, 800\n")
         seq = run_sweep(cfg, str(tmp_path / "seq"), workers=1)
@@ -323,6 +350,37 @@ class TestMainEntry:
         assert (tmp_path / "stirap_fig2.csv").exists()
         out = capsys.readouterr().out
         assert "transfer" in out
+
+    def test_sweep_config_errors_exit_2(self, tmp_path, capsys):
+        for line in ("sweep.output.samples = 30, 2.5",
+                     "sweep.detuning.delta0 = 100, 100"):
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_text(line + "\n", encoding="utf-8")
+            assert main(["--out-dir", str(tmp_path), "sweep",
+                         str(cfg)]) == 2
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_readme_command_lines_parse(self):
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        block = readme.read_text(encoding="utf-8").split(
+            "## Command line")[1].split("```sh")[1].split("```")[0]
+        lines = [shlex.split(line) for line in block.splitlines()
+                 if line.startswith("threelevel ")]
+        assert len(lines) >= 4
+        for argv in lines:
+            args = _build_parser().parse_args(argv[1:])
+            assert args.command == argv[-1] or args.config == argv[-1]
+
+    def test_import_leaves_scipy_submodules_unloaded(self):
+        """scipy.integrate and scipy.linalg load on first use, not with the
+        command-line module."""
+        code = ("import sys, threelevel.cli; print(*sorted(m for m in "
+                "('scipy.integrate', 'scipy.linalg') if m in sys.modules))")
+        src = str(pathlib.Path(threelevel.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == ""
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("THREELEVEL_OUT_DIR", str(tmp_path))

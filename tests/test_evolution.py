@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from threelevel.adiabatic import frame
-from threelevel.dissipation import Configuration, RateSet, derived_rates
+from threelevel.dissipation import (Configuration, RateSet, derived_rates,
+                                    lindblad_ops)
+from threelevel import evolution
 from threelevel.evolution import (PropagationError, PropagatorSettings,
-                                  closed_system_solution, liouvillian_matrix,
-                                  pack, propagate_adiabatic, propagate_bare,
+                                  closed_system_solution, pack,
+                                  propagate_adiabatic, propagate_bare,
                                   propagate_expm_oracle, real_superop,
                                   unpack, unpack_many)
 from threelevel.matops import expm as matexp, ketbra
@@ -238,8 +240,6 @@ class TestExpmOracle:
 
     def test_independent_of_rk(self, monkeypatch):
         """The oracle never reaches the Runge-Kutta code it cross-checks."""
-        from threelevel import evolution
-
         def forbidden(*args, **kwargs):
             raise AssertionError("oracle called Runge-Kutta code")
 
@@ -259,16 +259,124 @@ class TestExpmOracle:
                                   4, samples=10)
 
     def test_liouvillian_matches_superop_action(self):
+        """The real blocks the oracle exponentiates agree with the complex
+        Kronecker Liouvillian (row-major vec convention)."""
         rng = np.random.default_rng(83)
         rates = RateSet(gamma1=0.3, gamma2=0.2, gamma2_deph=0.1)
-        from threelevel.dissipation import dissipator, lindblad_ops
         ops = lindblad_ops(Configuration.LAMBDA, rates)
         h = 5.0 * (ketbra(1, 3) + ketbra(3, 1)) + 7.0 * ketbra(3, 3)
-        m = liouvillian_matrix(h, ops)
+        eye = np.eye(3)
+        m = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for op in ops:
+            anti = op.conj().T @ op
+            m += np.kron(op, op.conj()) \
+                - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
+        real = (evolution.dissipator_superop(ops) + 5.0 * evolution._BP
+                + 7.0 * evolution._BD)
         rho = random_density(rng)
-        direct = -1j * (h @ rho - rho @ h) + dissipator(ops, rho)
-        np.testing.assert_allclose((m @ rho.reshape(9)).reshape(3, 3),
-                                   direct, atol=1e-13)
+        np.testing.assert_allclose(unpack(real @ pack(rho)),
+                                   (m @ rho.reshape(9)).reshape(3, 3),
+                                   atol=1e-13)
+
+
+def _complex_dressed_rhs(schedule, d9, dissipative, t, r):
+    """The dressed right-hand side evaluated on complex 3x3 matrices:
+    -i[diag(lam), R] + [R, F] + U^T D(U R U^T) U."""
+    op, oc, dop, doc, omega, domega, _ = schedule.rabi_scalar(t)
+    dv, ddv = schedule.delta_scalar(t)
+    theta = math.atan2(op, oc)
+    phi = 0.5 * math.atan2(2.0 * omega, dv)
+    root = math.hypot(dv, 2.0 * omega)
+    lam2, lam3 = 0.5 * (dv - root), 0.5 * (dv + root)
+    theta_dot = (dop * oc - op * doc) / (omega * omega)
+    phi_dot = (domega * dv - omega * ddv) / (dv * dv + 4.0 * omega * omega)
+    st, ct = math.sin(theta), math.cos(theta)
+    sp, cp = math.sin(phi), math.cos(phi)
+    big_r = unpack(r)
+    out = np.empty((3, 3), dtype=complex)
+    out[0, 0] = out[1, 1] = out[2, 2] = 0.0
+    out[0, 1] = 1j * lam2 * big_r[0, 1]
+    out[0, 2] = 1j * lam3 * big_r[0, 2]
+    out[1, 2] = 1j * (lam3 - lam2) * big_r[1, 2]
+    out[1, 0] = np.conj(out[0, 1])
+    out[2, 0] = np.conj(out[0, 2])
+    out[2, 1] = np.conj(out[1, 2])
+    f = np.array([[0.0, theta_dot * cp, theta_dot * sp],
+                  [-theta_dot * cp, 0.0, phi_dot],
+                  [-theta_dot * sp, -phi_dot, 0.0]])
+    out += big_r @ f - f @ big_r
+    if dissipative:
+        u = np.array([[ct, st * cp, st * sp],
+                      [-st, ct * cp, ct * sp],
+                      [0.0, -sp, cp]])
+        rho = u @ big_r @ u.T
+        out += u.T @ unpack(d9 @ pack(rho)) @ u
+    return pack(out)
+
+
+def _complex_static_rhs(schedule, d9, dissipative, r):
+    """Static-frame reference: F = 0 and a constant U."""
+    fr = frame(schedule, 0.0)
+    u, lam = fr.U.real, fr.lam
+    big_r = unpack(r)
+    out = -1j * (lam[:, None] - lam[None, :]) * big_r
+    if dissipative:
+        out = out + u.T @ unpack(d9 @ pack(u @ big_r @ u.T)) @ u
+    return pack(out)
+
+
+class TestDressedGenerator:
+    """The real 9x9 dressed generator against the complex 3x3 formula."""
+
+    RATES = RateSet(gamma1=0.5, gamma2=0.3, gamma1_deph=0.05,
+                    gamma2_deph=0.1, gamma3_deph=0.2)
+
+    @staticmethod
+    def captured_rhs(monkeypatch, config, rates, schedule):
+        """The rhs propagate_adiabatic hands to its integrator."""
+        seen = []
+
+        def capture(rhs, r0, t_span, times, settings):
+            seen.append(rhs)
+            return np.tile(r0, (len(times), 1))
+
+        monkeypatch.setattr(evolution, "_solve_adaptive", capture)
+        propagate_adiabatic(config, rates, schedule, SIG11, samples=2)
+        return seen[0]
+
+    @staticmethod
+    def assert_close(new, ref):
+        assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("config", list(Configuration))
+    @pytest.mark.parametrize("dissipative", [True, False])
+    def test_time_dependent(self, monkeypatch, config, dissipative):
+        rng = np.random.default_rng(101)
+        rates = self.RATES if dissipative else RateSet()
+        d9 = evolution.dissipator_superop(lindblad_ops(config, rates))
+        shaped = DetuningSchedule(kind="shaped", delta0=7.0, gamma1=0.5)
+        for s in (make_stirap_schedule(100.0, 1000.0, 1.0, "intuitive"),
+                  make_stirap_schedule(100.0, 0.0, 1.0, "counterintuitive",
+                                       detuning=shaped)):
+            rhs = self.captured_rhs(monkeypatch, config, rates, s)
+            for t in rng.uniform(0.0, 1.0, size=20):
+                r = rng.normal(size=9)
+                self.assert_close(
+                    rhs(t, r),
+                    _complex_dressed_rhs(s, d9, dissipative, t, r))
+
+    @pytest.mark.parametrize("config", list(Configuration))
+    @pytest.mark.parametrize("dissipative", [True, False])
+    def test_static(self, monkeypatch, config, dissipative):
+        rng = np.random.default_rng(103)
+        rates = self.RATES if dissipative else RateSet()
+        d9 = evolution.dissipator_superop(lindblad_ops(config, rates))
+        s = static_schedule(80.0, 50.0, 600.0)
+        rhs = self.captured_rhs(monkeypatch, config, rates, s)
+        for _ in range(20):
+            r = rng.normal(size=9)
+            self.assert_close(rhs(rng.uniform(), r),
+                              _complex_static_rhs(s, d9, dissipative, r))
 
 
 class TestFixedRK4:
