@@ -5,22 +5,24 @@ quasienergies, the mixing angles, the bare-to-dressed transform U, and the
 nonadiabatic coupling F along a counterintuitive pulse pair.
 """
 
+import math
+
 import numpy as np
 
-from threelevel import (coupling_matrix, frame, hamiltonian,
-                        make_stirap_schedule, mixing_angles)
+from threelevel import angles, frame, hamiltonian, make_stirap_schedule
 
 schedule = make_stirap_schedule(peak_omega=100.0, delta=1000.0, horizon=1.0,
                                 ordering="counterintuitive")
 
+# frame() evaluates the whole dressed frame on a time grid at once.
 print("Quasienergies along the pulse pair (units of 1/T):")
 print(f"{'t':>6} {'Omega_p':>9} {'Omega_c':>9} {'theta':>8} {'phi':>8} "
       f"{'lam2':>9} {'lam3':>10}")
-for t in np.linspace(0.0, 1.0, 11):
-    fr = frame(schedule, float(t))
-    sample = schedule.rabi(float(t))
-    print(f"{t:6.2f} {float(sample.omega_p):9.3f} {float(sample.omega_c):9.3f}"
-          f" {fr.theta:8.4f} {fr.phi:8.4f} {fr.lam[1]:9.3f} {fr.lam[2]:10.3f}")
+grid = frame(schedule, np.linspace(0.0, 1.0, 11))
+for k, t in enumerate(grid.t):
+    print(f"{t:6.2f} {grid.omega_p[k]:9.3f} {grid.omega_c[k]:9.3f}"
+          f" {grid.theta[k]:8.4f} {grid.phi[k]:8.4f} {grid.lam[k, 1]:9.3f}"
+          f" {grid.lam[k, 2]:10.3f}")
 
 # The transform U diagonalizes H at every instant; its columns are the
 # dressed states labeled so that lam1 = 0 exactly.
@@ -31,17 +33,21 @@ residual = fr.U.conj().T @ h @ fr.U - np.diag(fr.lam)
 print(f"\nAt t = {t_mid}: max |U^dag H U - diag(lam)| = "
       f"{np.max(np.abs(residual)):.2e}")
 
-theta, phi, omega = mixing_angles(schedule, t_mid)
+# angles() is the elementwise kernel behind frame(); with xp=math it takes
+# the plain floats of the scalar drive path, as the dressed integrator does.
+op, oc, dop, doc, omega, domega, _ = schedule.rabi_scalar(t_mid)
+theta, phi, theta_dot, phi_dot, _, _ = angles(
+    op, oc, dop, doc, omega, domega, *schedule.delta_scalar(t_mid), xp=math)
 print(f"mixing angles: theta = {theta:.4f}, phi = {phi:.4f}, "
-      f"Omega = {omega:.3f}")
+      f"Omega = {omega:.3f}; rates theta' = {theta_dot:.4f}, "
+      f"phi' = {phi_dot:.5f}")
 print("dressed states (columns of U):")
 print(np.array_str(fr.U.real, precision=4, suppress_small=True))
 
 # F = U^dag dU/dt drives transitions between dressed states; it vanishes
 # when the schedule is static.
-f = coupling_matrix(schedule, t_mid)
 print("\nnonadiabatic coupling F at mid-protocol:")
-print(np.array_str(f.real, precision=5, suppress_small=True))
+print(np.array_str(fr.F.real, precision=5, suppress_small=True))
 static = make_stirap_schedule(100.0, 1000.0, 1.0, "static")
 print(f"static schedule: max |F| = "
-      f"{np.max(np.abs(coupling_matrix(static, t_mid))):.1e}")
+      f"{np.max(np.abs(frame(static, t_mid).F)):.1e}")

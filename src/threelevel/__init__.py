@@ -1,22 +1,17 @@
 """Dissipative three-level dynamics in the bare and dressed bases."""
 
-from .adiabatic import (AdiabaticFrame, coupling_matrix, frame, frame_arrays,
-                        hamiltonian, mixing_angles, quasienergies, transform)
+from .adiabatic import AdiabaticFrame, angles, frame, hamiltonian, rotation
 from .analysis import (QuadratureEstimate, StabilityReport,
-                       adiabatic_populations, compare_analytic_numeric,
-                       hadamard_fidelity, purity, quadrature_solution,
-                       stability_report)
+                       compare_analytic_numeric, hadamard_fidelity, purity,
+                       quadrature_solution, stability_report)
 from .dissipation import (Configuration, DerivedRates, RateSet,
-                          adiabatic_dissipator, derived_rates, dissipator,
-                          lindblad_ops)
+                          derived_rates, dissipator, lindblad_ops)
 from .evolution import (PropagationError, PropagatorSettings, Trajectory,
                         closed_system_solution, propagate_adiabatic,
                         propagate_bare, propagate_expm_oracle)
-from .matops import (commutator, dagger, expm, frobenius_norm, herm_eig3,
-                     is_hermitian, is_unitary, ketbra, trace)
+from .matops import dagger, ketbra
 from .pulses import (ConstantPulse, DetuningSchedule, GaussianPulse,
-                     PulseSchedule, ThetaLawPulse, eval_envelope,
-                     make_stirap_schedule, shaped_detuning,
+                     PulseSchedule, ThetaLawPulse, make_stirap_schedule,
                      theta_law_schedule)
 
 __version__ = "0.1.0"

@@ -26,6 +26,11 @@ B(phi) factors into two planar rotations.  The nonadiabatic coupling is
 defined as F = U^dag dU/dt, which is real antisymmetric with
 
     F12 = theta' cos(phi),  F13 = theta' sin(phi),  F23 = phi'.
+
+These formulas live once, in the elementwise kernel `angles` and in
+`rotation`.  Both take a namespace `xp`: `math` for the plain floats of the
+dressed right-hand side, numpy for time grids.  `frame` evaluates them on a
+schedule at a scalar time or on a grid.
 """
 
 from dataclasses import dataclass
@@ -34,21 +39,25 @@ import numpy as np
 
 from .pulses import PulseSchedule
 
-FRAME_UNITARY_TOL = 1e-10
-FRAME_DIAG_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class AdiabaticFrame:
-    """Frozen snapshot of the dressed frame at one time point."""
+    """Dressed frame on a time grid of shape s; a scalar time gives s = ().
+    U and F have real entries in complex dtype, like the density matrices
+    they transform."""
 
-    t: float
-    lam: np.ndarray        # (0, lam2, lam3)
-    theta: float
-    phi: float
-    U: np.ndarray          # columns |lam1>, |lam2>, |lam3>
-    F: np.ndarray          # U^dag dU/dt
-    floor_engaged: bool
+    t: np.ndarray              # s
+    theta: np.ndarray          # s
+    phi: np.ndarray            # s
+    theta_dot: np.ndarray      # s
+    phi_dot: np.ndarray        # s
+    lam: np.ndarray            # s + (3,): (0, lam2, lam3)
+    U: np.ndarray              # s + (3, 3), columns |lam1>, |lam2>, |lam3>
+    F: np.ndarray              # s + (3, 3), U^dag dU/dt
+    omega_p: np.ndarray        # s
+    omega_c: np.ndarray        # s
+    delta: np.ndarray          # s
+    floor_engaged: np.ndarray  # s, bool
 
 
 def hamiltonian(schedule: PulseSchedule, t: float) -> np.ndarray:
@@ -62,101 +71,57 @@ def hamiltonian(schedule: PulseSchedule, t: float) -> np.ndarray:
     return h
 
 
-def mixing_angles(schedule: PulseSchedule, t: float):
-    """Ground- and excited-state mixing angles (theta, phi) plus Omega(t)."""
-    sample = schedule.rabi(t)
-    delta, _ = schedule.delta(t)
-    theta = np.arctan2(sample.omega_p, sample.omega_c)
-    phi = 0.5 * np.arctan2(2.0 * sample.omega, delta)
-    return float(theta), float(phi), float(sample.omega)
+def angles(op, oc, dop, doc, omega, domega, delta, ddelta, xp=np):
+    """(theta, phi, theta', phi', lam2, lam3) from the drives, the total
+    coupling omega, the detuning and their time derivatives, elementwise."""
+    theta = xp.atan2(op, oc)
+    phi = 0.5 * xp.atan2(2.0 * omega, delta)
+    theta_dot = (dop * oc - op * doc) / (omega * omega)
+    phi_dot = (domega * delta - omega * ddelta) / (delta * delta
+                                                   + 4.0 * omega * omega)
+    root = xp.hypot(delta, 2.0 * omega)
+    return (theta, phi, theta_dot, phi_dot,
+            0.5 * (delta - root), 0.5 * (delta + root))
 
 
-def quasienergies(omega: float, delta: float) -> np.ndarray:
-    root = np.hypot(delta, 2.0 * omega)
-    return np.array([0.0, 0.5 * (delta - root), 0.5 * (delta + root)])
+def rotation(theta, phi, xp=np):
+    """The nine entries of U, row by row."""
+    st, ct = xp.sin(theta), xp.cos(theta)
+    sp, cp = xp.sin(phi), xp.cos(phi)
+    return (ct, st * cp, st * sp,
+            -st, ct * cp, ct * sp,
+            0.0, -sp, cp)
 
 
-def transform(theta: float, phi: float) -> np.ndarray:
-    """Bare-to-dressed transform U; columns are the dressed states."""
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    return np.array([
-        [ct, st * cp, st * sp],
-        [-st, ct * cp, ct * sp],
-        [0.0, -sp, cp],
-    ], dtype=complex)
+def _matrices(entries, shape) -> np.ndarray:
+    """Complex 3x3 matrices of the given batch shape from nine row-major
+    entries, each broadcast to that shape."""
+    stacked = np.stack([np.broadcast_to(e, shape) for e in entries], axis=-1)
+    return stacked.reshape(shape + (3, 3)).astype(complex)
 
 
-def _angle_rates(schedule: PulseSchedule, t: float):
+def frame(schedule: PulseSchedule, t) -> AdiabaticFrame:
+    """The dressed frame (angles, rates, quasienergies, U, F and the drive
+    values) at a time or on a grid of times."""
+    t = np.asarray(t, dtype=float)
     sample = schedule.rabi(t)
     delta, ddelta = schedule.delta(t)
-    theta_dot = (sample.domega_p * sample.omega_c
-                 - sample.omega_p * sample.domega_c) / sample.omega ** 2
-    phi_dot = (sample.domega * delta - sample.omega * ddelta) \
-        / (delta * delta + 4.0 * sample.omega ** 2)
-    return float(theta_dot), float(phi_dot)
-
-
-def coupling_matrix(schedule: PulseSchedule, t: float) -> np.ndarray:
-    """Nonadiabatic coupling F = U^dag dU/dt from analytic angle rates."""
-    _, phi, _ = mixing_angles(schedule, t)
-    theta_dot, phi_dot = _angle_rates(schedule, t)
-    sp, cp = np.sin(phi), np.cos(phi)
-    f = np.zeros((3, 3), dtype=complex)
-    f[0, 1], f[1, 0] = theta_dot * cp, -theta_dot * cp
-    f[0, 2], f[2, 0] = theta_dot * sp, -theta_dot * sp
-    f[1, 2], f[2, 1] = phi_dot, -phi_dot
-    return f
-
-
-def frame(schedule: PulseSchedule, t: float) -> AdiabaticFrame:
-    """Assemble the full dressed frame (quasienergies, angles, U, F) at t."""
-    sample = schedule.rabi(t)
-    delta, _ = schedule.delta(t)
-    theta = float(np.arctan2(sample.omega_p, sample.omega_c))
-    phi = float(0.5 * np.arctan2(2.0 * sample.omega, delta))
-    lam = quasienergies(float(sample.omega), float(delta))
+    theta, phi, theta_dot, phi_dot, lam2, lam3 = angles(*sample[:6], delta,
+                                                        ddelta)
+    u = rotation(theta, phi)
+    f12, f13 = theta_dot * u[8], -theta_dot * u[7]   # theta' cos, theta' sin
     return AdiabaticFrame(
-        t=float(t),
-        lam=lam,
+        t=t,
         theta=theta,
         phi=phi,
-        U=transform(theta, phi),
-        F=coupling_matrix(schedule, t),
-        floor_engaged=bool(sample.floor_engaged),
+        theta_dot=theta_dot,
+        phi_dot=phi_dot,
+        lam=np.stack([np.zeros_like(lam2), lam2, lam3], axis=-1),
+        U=_matrices(u, t.shape),
+        F=_matrices((0.0, f12, f13, -f12, 0.0, phi_dot, -f13, -phi_dot, 0.0),
+                    t.shape),
+        omega_p=np.asarray(sample.omega_p, dtype=float),
+        omega_c=np.asarray(sample.omega_c, dtype=float),
+        delta=np.asarray(delta, dtype=float),
+        floor_engaged=np.asarray(sample.floor_engaged, dtype=bool),
     )
-
-
-def frame_arrays(schedule: PulseSchedule, times: np.ndarray) -> dict:
-    """Vectorized frame quantities on a time grid.
-
-    Returns arrays theta (n,), phi (n,), lam (n, 3), U (n, 3, 3),
-    omega_p/omega_c/delta (n,) and floor_engaged (n,) for trajectory
-    assembly and table output.
-    """
-    times = np.asarray(times, dtype=float)
-    sample = schedule.rabi(times)
-    delta, _ = schedule.delta(times)
-    theta = np.arctan2(sample.omega_p, sample.omega_c)
-    phi = 0.5 * np.arctan2(2.0 * sample.omega, delta)
-    root = np.hypot(delta, 2.0 * sample.omega)
-    lam = np.stack(
-        [np.zeros_like(root), 0.5 * (delta - root), 0.5 * (delta + root)],
-        axis=-1)
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    zeros = np.zeros_like(st)
-    u = np.empty(times.shape + (3, 3), dtype=complex)
-    u[..., 0, 0], u[..., 0, 1], u[..., 0, 2] = ct, st * cp, st * sp
-    u[..., 1, 0], u[..., 1, 1], u[..., 1, 2] = -st, ct * cp, ct * sp
-    u[..., 2, 0], u[..., 2, 1], u[..., 2, 2] = zeros, -sp, cp
-    return {
-        "theta": theta,
-        "phi": phi,
-        "lam": lam,
-        "U": u,
-        "omega_p": np.asarray(sample.omega_p, dtype=float),
-        "omega_c": np.asarray(sample.omega_c, dtype=float),
-        "delta": np.asarray(delta, dtype=float),
-        "floor_engaged": np.asarray(sample.floor_engaged, dtype=bool),
-    }

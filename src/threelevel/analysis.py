@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .adiabatic import frame
 from .dissipation import DerivedRates, derived_rates as _derived_rates
 from .evolution import Trajectory
 from .pulses import PulseSchedule
@@ -73,25 +74,6 @@ def purity(rho: np.ndarray) -> float:
     return float(value.real)
 
 
-def adiabatic_populations(traj: Trajectory) -> np.ndarray:
-    """Time series of the three dressed-state populations, shape (n, 3)."""
-    return traj.pops_adiabatic
-
-
-def _schedule_arrays(schedule: PulseSchedule, grid: np.ndarray):
-    sample = schedule.rabi(grid)
-    delta, ddelta = schedule.delta(grid)
-    theta = np.arctan2(sample.omega_p, sample.omega_c)
-    phi = 0.5 * np.arctan2(2.0 * sample.omega, delta)
-    theta_dot = (sample.domega_p * sample.omega_c
-                 - sample.omega_p * sample.domega_c) / sample.omega ** 2
-    phi_dot = (sample.domega * delta - sample.omega * ddelta) \
-        / (delta * delta + 4.0 * sample.omega ** 2)
-    root = np.hypot(delta, 2.0 * sample.omega)
-    lam2, lam3 = 0.5 * (delta - root), 0.5 * (delta + root)
-    return theta, phi, theta_dot, phi_dot, lam2, lam3
-
-
 def _cumulative_trapezoid(y, x):
     """Trapezoid-rule integrals of y from x[0] to each x, for 1-d arrays."""
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1])
@@ -120,8 +102,9 @@ def quadrature_solution(which: str, schedule: PulseSchedule,
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-d array of at least two times")
-    theta, phi, theta_dot, phi_dot, lam2, lam3 = _schedule_arrays(schedule,
-                                                                  grid)
+    fr = frame(schedule, grid)
+    theta, phi, theta_dot, phi_dot = fr.theta, fr.phi, fr.theta_dot, fr.phi_dot
+    lam2, lam3 = fr.lam[:, 1], fr.lam[:, 2]
     dt = np.diff(grid)
     fastest = np.max(np.abs(lam3 - lam2))
     if fastest > 0 and np.max(dt) > 2.0 * math.pi / (fastest
@@ -181,8 +164,8 @@ def compare_analytic_numeric(which: str, traj: Trajectory,
     """
     times = traj.times
     dt = times[1] - times[0]
-    _, _, _, _, lam2, lam3 = _schedule_arrays(schedule, times)
-    fastest = float(np.max(np.abs(lam3 - lam2)))
+    lam = frame(schedule, times).lam
+    fastest = float(np.max(np.abs(lam[:, 2] - lam[:, 1])))
     refine = 1
     if fastest > 0:
         needed = 2.0 * math.pi / (fastest * MIN_POINTS_PER_PERIOD)

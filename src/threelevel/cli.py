@@ -30,8 +30,8 @@ import numpy as np
 from .adiabatic import frame
 from .analysis import StabilityReport, stability_report
 from .dissipation import Configuration, RateSet
-from .evolution import (PropagationError, PropagatorSettings, Trajectory,
-                        propagate_adiabatic, propagate_bare,
+from .evolution import (METHODS, PropagationError, PropagatorSettings,
+                        Trajectory, propagate_adiabatic, propagate_bare,
                         propagate_expm_oracle)
 from .pulses import DetuningSchedule, make_stirap_schedule
 
@@ -220,26 +220,22 @@ def build_config(mapping: dict) -> ScenarioConfig:
 
 
 def _validate_config(cfg: ScenarioConfig):
+    """Collect every problem of a config.  The schedule and the propagator
+    settings are built here, so their own checks run before any work."""
     problems = {}
-    if cfg.horizon <= 0:
-        problems["horizon"] = "must be positive"
-    if cfg.peak_omega <= 0:
-        problems["pulses.peak_omega"] = "must be positive"
-    if cfg.ordering not in ("counterintuitive", "intuitive", "static"):
-        problems["pulses.ordering"] = f"unknown ordering {cfg.ordering!r}"
     if cfg.initial_state not in _INITIAL_STATES:
         problems["initial_state"] = \
             f"unknown state (choose from {sorted(_INITIAL_STATES)})"
-    if cfg.detuning_kind not in ("constant", "shaped"):
-        problems["detuning.kind"] = f"unknown kind {cfg.detuning_kind!r}"
-    if cfg.method not in ("adaptive_rk", "fixed_rk4", "expm_oracle"):
-        problems["propagator.method"] = f"unknown method {cfg.method!r}"
     if cfg.basis not in ("bare", "adiabatic"):
         problems["propagator.basis"] = f"unknown basis {cfg.basis!r}"
-    if cfg.rel_tol <= 0 or cfg.abs_tol <= 0:
-        problems["propagator.rel_tol"] = "tolerances must be positive"
-    if cfg.samples < 2:
-        problems["output.samples"] = "need at least 2 samples"
+    try:
+        build_schedule(cfg)
+    except ValueError as exc:
+        problems["schedule"] = str(exc)
+    try:
+        _settings(cfg).check_samples(cfg.samples)
+    except ValueError as exc:
+        problems["propagator"] = str(exc)
     try:
         _sweep_points(cfg)
     except ConfigError as exc:
@@ -250,6 +246,9 @@ def _validate_config(cfg: ScenarioConfig):
 
 def load_config(source: str) -> ScenarioConfig:
     """Load a config from a file path or a builtin name."""
+    if os.path.exists(source) and source in BUILTINS:
+        raise ConfigError({"config": f"{source!r} is both a file and a "
+                           f"builtin; write './{source}' for the file"})
     if os.path.exists(source):
         with open(source, encoding="utf-8") as fh:
             text = fh.read()
@@ -474,28 +473,29 @@ TABLE_COLUMNS = (["t"] + _RHO_COLUMNS
 
 def emit_table(traj: Trajectory, path: str) -> None:
     """Write the trajectory as delimiter-separated values, 17 significant
-    digits, one header row; columns are fixed by TABLE_COLUMNS."""
-    lines = [",".join(TABLE_COLUMNS)]
-    for k in range(len(traj.times)):
-        fields = [f"{traj.times[k]:.17g}"]
-        for i in range(3):
-            for j in range(3):
-                z = traj.rho[k, i, j]
-                fields.append(f"{z.real:.17g}")
-                fields.append(f"{z.imag:.17g}")
-        fields.extend(f"{x:.17g}" for x in (
-            traj.pops_adiabatic[k, 0], traj.pops_adiabatic[k, 1],
-            traj.pops_adiabatic[k, 2], traj.purity[k], traj.theta[k],
-            traj.phi[k], traj.lam[k, 1], traj.lam[k, 2], traj.omega_p[k],
-            traj.omega_c[k], traj.delta[k]))
-        fields.append(str(int(traj.floor_engaged[k])))
-        lines.append(",".join(fields))
+    digits, one header row; columns are fixed by TABLE_COLUMNS.
+
+    The table is written to a temporary file beside `path` and renamed over
+    it, so an interrupted write leaves any previous table whole."""
+    n = len(traj.times)
+    data = np.column_stack([
+        traj.times,
+        np.stack([traj.rho.real, traj.rho.imag], axis=-1).reshape(n, 18),
+        traj.pops_adiabatic, traj.purity, traj.theta, traj.phi,
+        traj.lam[:, 1:], traj.omega_p, traj.omega_c, traj.delta,
+        traj.floor_engaged])
+    partial = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        np.savetxt(partial, data, fmt=["%.17g"] * 30 + ["%d"], delimiter=",",
+                   header=",".join(TABLE_COLUMNS), comments="",
+                   encoding="utf-8")
+        os.replace(partial, path)
     except OSError as exc:
         raise OSError(f"failed to write trajectory table {path!r}: {exc}") \
             from exc
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
 
 
 def load_table(path: str) -> dict:
@@ -550,7 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--samples", type=int, default=None,
                         help="override output sample count")
     parser.add_argument("--method", default=None,
-                        choices=["adaptive_rk", "fixed_rk4", "expm_oracle"],
+                        choices=METHODS,
                         help="override propagation method")
     parser.add_argument("--tol", type=float, default=None,
                         help="override relative tolerance")

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adiabatic import AdiabaticFrame
 from .matops import dagger, ketbra
 
 
@@ -100,17 +99,6 @@ def dissipator(ops: list, rho: np.ndarray) -> np.ndarray:
         anti = opd @ op
         out += op @ rho @ opd - 0.5 * (anti @ rho + rho @ anti)
     return out
-
-
-def adiabatic_dissipator(config: Configuration, rates: RateSet,
-                         frame: AdiabaticFrame, R: np.ndarray,
-                         xi_appendix_verbatim: bool = False) -> np.ndarray:
-    """Dissipator acting on the dressed-basis density matrix R, built from
-    the transformed jump operators S_k = U^dag L_k U."""
-    u = frame.U
-    ops = [dagger(u) @ op @ u
-           for op in lindblad_ops(config, rates, xi_appendix_verbatim)]
-    return dissipator(ops, R)
 
 
 def derived_rates(config: Configuration, rates: RateSet) -> DerivedRates:

@@ -36,6 +36,7 @@ HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
 PURITY_TOL = 1e-10
 
+METHODS = ("adaptive_rk", "fixed_rk4", "expm_oracle")
 _RK_METHODS = {"rk45": "RK45", "dop853": "DOP853"}
 _ORACLE_BLOCK = 128   # slices per batched expm call; bounds peak memory
 
@@ -47,7 +48,7 @@ class PropagationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PropagatorSettings:
-    method: str = "adaptive_rk"       # adaptive_rk | fixed_rk4 | expm_oracle
+    method: str = "adaptive_rk"       # one of METHODS
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
     max_step: float = np.inf
@@ -58,12 +59,21 @@ class PropagatorSettings:
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.method not in ("adaptive_rk", "fixed_rk4", "expm_oracle"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.rk_pair not in _RK_METHODS:
             raise ValueError(f"unknown rk_pair {self.rk_pair!r}")
         if self.n_steps < 1 or self.n_slices < 1:
             raise ValueError("step counts must be >= 1")
+
+    def check_samples(self, samples: int) -> None:
+        """Raise ValueError unless this route can emit `samples` times."""
+        if samples < 2:
+            raise ValueError("need at least 2 output samples")
+        if self.method == "fixed_rk4" and self.n_steps < samples - 1:
+            raise ValueError("fixed_rk4 needs n_steps >= samples - 1")
+        if self.method == "expm_oracle" and samples > self.n_slices + 1:
+            raise ValueError("cannot emit more samples than slice boundaries")
 
 
 @dataclass(frozen=True)
@@ -198,10 +208,10 @@ def _validate_initial(rho0: np.ndarray, name: str) -> np.ndarray:
     return rho0
 
 
-def _assemble(times, rho, schedule) -> Trajectory:
-    """Build a Trajectory from bare-basis samples, checking invariants."""
-    frames = adiabatic.frame_arrays(schedule, times)
-    u = frames["U"]
+def _assemble(rho, fr: adiabatic.AdiabaticFrame) -> Trajectory:
+    """Build a Trajectory from bare-basis samples at the frame's times,
+    checking invariants."""
+    u = fr.U
     ud = u.conj().swapaxes(-1, -2)
     big_r = ud @ rho @ u
     traces = np.einsum("nii->n", rho).real
@@ -221,20 +231,20 @@ def _assemble(times, rho, schedule) -> Trajectory:
         raise PropagationError("purity left [1/3, 1]")
 
     return Trajectory(
-        times=times,
+        times=fr.t,
         rho=rho,
         R=big_r,
         purity=purity,
         pops_bare=np.stack([rho[:, k, k].real for k in range(3)], axis=-1),
         pops_adiabatic=np.stack([big_r[:, k, k].real for k in range(3)],
                                 axis=-1),
-        theta=frames["theta"],
-        phi=frames["phi"],
-        lam=frames["lam"],
-        omega_p=frames["omega_p"],
-        omega_c=frames["omega_c"],
-        delta=frames["delta"],
-        floor_engaged=frames["floor_engaged"],
+        theta=fr.theta,
+        phi=fr.phi,
+        lam=fr.lam,
+        omega_p=fr.omega_p,
+        omega_c=fr.omega_c,
+        delta=fr.delta,
+        floor_engaged=fr.floor_engaged,
         trace_err_max=trace_err,
         hermiticity_err_max=float(herm_err),
         min_eigenvalue=eigmin,
@@ -258,8 +268,6 @@ def _solve_adaptive(rhs, r0, t_span, times, settings):
 def _solve_fixed_rk4(rhs, r0, horizon, times, n_steps):
     # integrate on a fine uniform grid and emit at the grid points nearest
     # the requested times (identical when samples - 1 divides n_steps)
-    if n_steps < len(times) - 1:
-        raise ValueError("fixed_rk4 needs n_steps >= samples - 1")
     grid = np.linspace(0.0, horizon, n_steps + 1)
     idx = np.rint(times / horizon * n_steps).astype(int)
     h = grid[1] - grid[0]
@@ -282,8 +290,6 @@ def _solve_fixed_rk4(rhs, r0, horizon, times, n_steps):
 
 def _integrate(rhs, r0, horizon, samples, settings):
     """Run the configured Runge-Kutta route; returns (times, states)."""
-    if samples < 2:
-        raise ValueError("need at least 2 output samples")
     times = np.linspace(0.0, horizon, samples)
     if settings.method == "adaptive_rk":
         return times, _solve_adaptive(rhs, r0, (0.0, horizon), times,
@@ -303,6 +309,7 @@ def propagate_bare(config: Configuration, rates: RateSet,
     the bare and dressed density matrices plus frame diagnostics.
     """
     settings = settings or PropagatorSettings()
+    settings.check_samples(samples)
     rho0 = _validate_initial(rho0, "rho0")
     if settings.method == "expm_oracle":
         return propagate_expm_oracle(config, rates, schedule, rho0,
@@ -328,7 +335,7 @@ def propagate_bare(config: Configuration, rates: RateSet,
 
     times, ys = _integrate(rhs, pack(rho0), schedule.horizon, samples,
                            settings)
-    return _assemble(times, unpack_many(ys), schedule)
+    return _assemble(unpack_many(ys), adiabatic.frame(schedule, times))
 
 
 def propagate_adiabatic(config: Configuration, rates: RateSet,
@@ -339,11 +346,13 @@ def propagate_adiabatic(config: Configuration, rates: RateSet,
     """Propagate the dressed-basis master equation from R0 over the horizon.
 
     The frame (U, F, quasienergies) is evaluated analytically at every
-    right-hand-side call and weights the fixed dressed blocks; the
+    right-hand-side call, by `adiabatic.angles` and `adiabatic.rotation` on
+    plain floats, and weights the fixed dressed blocks; the
     dissipator is the bare-basis one conjugated by the frame, W^-1 D W, which
     keeps the two propagators consistent by construction.
     """
     settings = settings or PropagatorSettings()
+    settings.check_samples(samples)
     R0 = _validate_initial(R0, "R0")
     if settings.method == "expm_oracle":
         raise ValueError("the expm oracle propagates the bare basis; "
@@ -353,6 +362,7 @@ def propagate_adiabatic(config: Configuration, rates: RateSet,
     dissipative = len(ops) > 0
     rabi_scalar = schedule.rabi_scalar
     delta_scalar = schedule.delta_scalar
+    angles, rotation = adiabatic.angles, adiabatic.rotation
 
     if schedule.is_static:
         # constant frame: F = 0, U and the quasienergies are fixed, so the
@@ -368,32 +378,22 @@ def propagate_adiabatic(config: Configuration, rates: RateSet,
             return gen @ r
     else:
         def rhs(t, r):
-            op, oc, dop, doc, omega, domega, _ = rabi_scalar(t)
-            dv, ddv = delta_scalar(t)
-            phi = 0.5 * math.atan2(2.0 * omega, dv)
-            root = math.hypot(dv, 2.0 * omega)
-            theta_dot = (dop * oc - op * doc) / (omega * omega)
-            phi_dot = (domega * dv - omega * ddv) / (dv * dv
-                                                     + 4.0 * omega * omega)
-            sp, cp = math.sin(phi), math.cos(phi)
-            coef = np.array((0.5 * (dv - root), 0.5 * (dv + root),
-                             theta_dot * cp, theta_dot * sp, phi_dot))
+            theta, phi, theta_dot, phi_dot, lam2, lam3 = angles(
+                *rabi_scalar(t)[:6], *delta_scalar(t), xp=math)
+            u = rotation(theta, phi, xp=math)
+            sp, cp = -u[7], u[8]          # U[2, 1] = -sin(phi), U[2, 2]
+            coef = np.array((lam2, lam3, theta_dot * cp, theta_dot * sp,
+                             phi_dot))
             out = (coef @ _DRESSED).reshape(9, 9) @ r
             if dissipative:
-                theta = math.atan2(op, oc)
-                st, ct = math.sin(theta), math.cos(theta)
-                w = _conjugation(np.array((ct, st * cp, st * sp,
-                                           -st, ct * cp, ct * sp,
-                                           0.0, -sp, cp)))
+                w = _conjugation(np.array(u))
                 out += (w.T @ (gd9 @ (w @ r))) / _G
             return out
 
     times, ys = _integrate(rhs, pack(R0), schedule.horizon, samples, settings)
-    big_r = unpack_many(ys)
-    frames = adiabatic.frame_arrays(schedule, times)
-    u = frames["U"]
-    rho = u @ big_r @ u.conj().swapaxes(-1, -2)
-    return _assemble(times, rho, schedule)
+    fr = adiabatic.frame(schedule, times)
+    rho = fr.U @ unpack_many(ys) @ fr.U.conj().swapaxes(-1, -2)
+    return _assemble(rho, fr)
 
 
 def propagate_expm_oracle(config: Configuration, rates: RateSet,
@@ -417,10 +417,8 @@ def propagate_expm_oracle(config: Configuration, rates: RateSet,
     does not keep a step completely positive, so slices far too coarse for
     the drive can give negative populations, which raise PropagationError.
     """
-    if n_slices < 1:
-        raise ValueError("n_slices must be >= 1")
-    if samples > n_slices + 1:
-        raise ValueError("cannot emit more samples than slice boundaries")
+    PropagatorSettings(method="expm_oracle",
+                       n_slices=n_slices).check_samples(samples)
     rho0 = _validate_initial(rho0, "rho0")
     d9 = dissipator_superop(lindblad_ops(config, rates, xi_appendix_verbatim))
     boundaries = np.linspace(0.0, schedule.horizon, n_slices + 1)
@@ -447,7 +445,8 @@ def propagate_expm_oracle(config: Configuration, rates: RateSet,
             if j < samples and k == keep[j]:      # boundary k is a sample
                 out[j] = r
                 j += 1
-    return _assemble(boundaries[keep], unpack_many(out), schedule)
+    return _assemble(unpack_many(out), adiabatic.frame(schedule,
+                                                       boundaries[keep]))
 
 
 def closed_system_solution(frame: adiabatic.AdiabaticFrame, R0: np.ndarray,

@@ -122,11 +122,6 @@ class ThetaLawPulse:
         return self.omega * math.cos(th), -self.omega * math.sin(th) * dth
 
 
-def eval_envelope(pulse, t):
-    """Evaluate an envelope, returning (value, analytic derivative)."""
-    return pulse.value(t), pulse.derivative(t)
-
-
 @dataclass(frozen=True)
 class DetuningSchedule:
     """Single-photon detuning: constant delta0, or the shaped law
@@ -232,15 +227,6 @@ class PulseSchedule:
         return (isinstance(self.pump, ConstantPulse)
                 and isinstance(self.stokes, ConstantPulse)
                 and self.detuning.kind == "constant")
-
-
-def shaped_detuning(detuning: DetuningSchedule, schedule: PulseSchedule, t):
-    """delta0 * Omega(t) * exp(gamma1*(t-t0)) for a shaped detuning law."""
-    if detuning.kind != "shaped":
-        raise ValueError("shaped_detuning requires a shaped DetuningSchedule")
-    sample = schedule.rabi(t)
-    return detuning.delta0 * sample.omega * np.exp(
-        detuning.gamma1 * (np.asarray(t, dtype=float) - detuning.t0))
 
 
 def make_stirap_schedule(peak_omega: float, delta: float, horizon: float,

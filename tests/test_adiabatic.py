@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from threelevel.adiabatic import (coupling_matrix, frame, frame_arrays,
-                                  hamiltonian, mixing_angles, transform)
-from threelevel.matops import herm_eig3, ketbra
+from threelevel.adiabatic import angles, frame, hamiltonian, rotation
+from threelevel.matops import ketbra
 from threelevel.pulses import (ConstantPulse, DetuningSchedule,
                                make_stirap_schedule, theta_law_schedule,
                                PulseSchedule)
@@ -27,13 +27,13 @@ class TestHamiltonian:
     def test_resonant_eigenvalues(self):
         """At zero detuning the quasienergies are -/+ sqrt(2)*100 and 0."""
         s = static_schedule(100.0, 100.0, 0.0)
-        w, _ = herm_eig3(hamiltonian(s, 0.0))
+        w = np.linalg.eigvalsh(hamiltonian(s, 0.0))
         np.testing.assert_allclose(
             w, [-100 * math.sqrt(2), 0.0, 100 * math.sqrt(2)], atol=1e-9)
 
     def test_detuned_eigenvalues_closed_form(self):
         s = static_schedule(100.0, 100.0, 1000.0)
-        w, _ = herm_eig3(hamiltonian(s, 0.0))
+        w = np.linalg.eigvalsh(hamiltonian(s, 0.0))
         root = math.sqrt(1000.0 ** 2 + 4 * (100.0 ** 2 + 100.0 ** 2))
         np.testing.assert_allclose(
             w, sorted([0.0, (1000 - root) / 2, (1000 + root) / 2]),
@@ -43,26 +43,25 @@ class TestHamiltonian:
 class TestMixingAngles:
     def test_equal_drives(self):
         s = static_schedule(60.0, 60.0, 123.0)
-        theta, _, _ = mixing_angles(s, 0.0)
-        assert theta == pytest.approx(np.pi / 4)
+        assert frame(s, 0.0).theta == pytest.approx(np.pi / 4)
 
     def test_resonance_phi(self):
         s = static_schedule(60.0, 60.0, 0.0)
-        _, phi, _ = mixing_angles(s, 0.0)
-        assert phi == pytest.approx(np.pi / 4)
+        assert frame(s, 0.0).phi == pytest.approx(np.pi / 4)
 
     def test_detuned_phi_value(self):
         s = static_schedule(100.0, 100.0, 1000.0)
-        _, phi, omega = mixing_angles(s, 0.0)
+        phi = frame(s, 0.0).phi
+        omega = s.rabi(0.0).omega
         assert omega == pytest.approx(141.4213562, rel=1e-9)
         assert phi == pytest.approx(0.5 * math.atan(0.2828427), abs=1e-6)
         assert phi == pytest.approx(0.13783, abs=1e-5)
 
     def test_phi_limits(self):
         s_large = static_schedule(10.0, 10.0, 1e7)
-        assert mixing_angles(s_large, 0.0)[1] < 1e-5
+        assert frame(s_large, 0.0).phi < 1e-5
         s_negative = static_schedule(10.0, 10.0, -1e7)
-        assert mixing_angles(s_negative, 0.0)[1] == pytest.approx(
+        assert frame(s_negative, 0.0).phi == pytest.approx(
             np.pi / 2, abs=1e-5)
 
     def test_zero_drive_without_floor_raises(self):
@@ -70,7 +69,7 @@ class TestMixingAngles:
                           DetuningSchedule("constant", 1.0), 1.0, "static",
                           0.0)
         with pytest.raises(ValueError):
-            mixing_angles(s, 0.0)
+            frame(s, 0.0)
 
 
 class TestFrame:
@@ -111,7 +110,7 @@ class TestFrame:
             delta = rng.uniform(100.0, 2000.0)
             s = static_schedule(op, oc, delta)
             fr = frame(s, 0.0)
-            w, v = herm_eig3(hamiltonian(s, 0.0))
+            w, v = np.linalg.eigh(hamiltonian(s, 0.0).real)
             for k in range(3):
                 lam_k = fr.lam[k]
                 idx = int(np.argmin(np.abs(w - lam_k)))
@@ -128,7 +127,7 @@ class TestFrame:
         for op, oc, delta in zip(ops, ocs, deltas):
             theta = math.atan2(op, oc)
             phi = 0.5 * math.atan2(2 * math.hypot(op, oc), delta)
-            u = transform(theta, phi)
+            u = np.array(rotation(theta, phi, xp=math)).reshape(3, 3)
             assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-10
             assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-10
 
@@ -152,9 +151,11 @@ class TestFrame:
 
 
 class TestCouplingMatrix:
+    """The nonadiabatic coupling F = U^dag dU/dt of the frame."""
+
     def test_static_schedule_vanishes(self):
         s = static_schedule(80.0, 60.0, 700.0)
-        np.testing.assert_allclose(coupling_matrix(s, 0.4),
+        np.testing.assert_allclose(frame(s, 0.4).F,
                                    np.zeros((3, 3)), atol=1e-15)
 
     def test_theta_law_entry(self):
@@ -162,9 +163,9 @@ class TestCouplingMatrix:
         gc = 0.4
         s = theta_law_schedule(np.pi / 8, gc, 0.0, 100.0, 1.0, delta=500.0)
         t = 0.6
-        theta, phi, _ = mixing_angles(s, t)
-        theta_dot = 0.25 * gc * math.sin(4 * theta)
-        f = coupling_matrix(s, t)
+        fr = frame(s, t)
+        theta_dot = 0.25 * gc * math.sin(4 * fr.theta)
+        phi, f = fr.phi, fr.F
         assert f[1, 0].real == pytest.approx(-theta_dot * math.cos(phi),
                                              rel=1e-9)
         assert f[0, 1].real == pytest.approx(theta_dot * math.cos(phi),
@@ -173,7 +174,7 @@ class TestCouplingMatrix:
     def test_antisymmetric_real(self):
         s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
         for t in (0.2, 0.5, 0.8):
-            f = coupling_matrix(s, t)
+            f = frame(s, t).F
             assert np.max(np.abs(f + f.T)) < 1e-10
             assert np.max(np.abs(f.imag)) < 1e-15
 
@@ -186,7 +187,7 @@ class TestCouplingMatrix:
             up = frame(s, t + h).U
             um = frame(s, t - h).U
             fd = u0.conj().T @ (up - um) / (2 * h)
-            f = coupling_matrix(s, t)
+            f = frame(s, t).F
             scale = max(1.0, np.max(np.abs(f)))
             assert np.max(np.abs(fd - f)) < 1e-6 * scale
 
@@ -195,19 +196,67 @@ class TestCouplingMatrix:
         ci = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
         it = make_stirap_schedule(100.0, 1000.0, 1.0, "intuitive")
         for t in (0.2, 0.45, 0.7):
-            f_ci = coupling_matrix(ci, t)
-            f_it = coupling_matrix(it, 1.0 - t)
+            f_ci = frame(ci, t).F
+            f_it = frame(it, 1.0 - t).F
             np.testing.assert_allclose(f_it, -f_ci, atol=1e-10)
 
 
-class TestFrameArrays:
-    def test_matches_scalar_frames(self):
-        s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
-        ts = np.linspace(0.0, 1.0, 11)
-        arrays = frame_arrays(s, ts)
-        for k, t in enumerate(ts):
-            fr = frame(s, float(t))
-            assert arrays["theta"][k] == pytest.approx(fr.theta, abs=1e-14)
-            assert arrays["phi"][k] == pytest.approx(fr.phi, abs=1e-14)
-            np.testing.assert_allclose(arrays["U"][k], fr.U, atol=1e-14)
-            np.testing.assert_allclose(arrays["lam"][k], fr.lam, atol=1e-11)
+drive = st.floats(0.0, 300.0)
+rate = st.floats(-3e4, 3e4)
+detuning = st.floats(-3000.0, 3000.0)
+
+
+class TestKernel:
+    """Properties of `angles` and `rotation` over random drives, their
+    derivatives and detunings."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(drive, drive, rate, rate, detuning, rate)
+    def test_float_and_array_paths(self, op, oc, dop, doc, delta, ddelta):
+        """The math path of the right-hand side agrees with the numpy path
+        of the grids; U is orthogonal and diagonalizes H."""
+        omega = math.hypot(op, oc)
+        assume(omega > 1e-6)   # below the floor U no longer diagonalizes H
+        domega = (op * dop + oc * doc) / omega
+        args = (op, oc, dop, doc, omega, domega, delta, ddelta)
+        scalar = angles(*args, xp=math)
+        array = angles(*map(np.asarray, args))
+        root = math.hypot(delta, 2.0 * omega)
+        scales = (1.0, 1.0, abs(scalar[2]), abs(scalar[3]), root, root)
+        for a, b, scale in zip(scalar, array, scales):
+            assert abs(a - b) <= 1e-14 * scale
+        u = np.array(rotation(*scalar[:2], xp=math)).reshape(3, 3)
+        u_np = np.array(rotation(*array[:2])).reshape(3, 3)
+        assert np.max(np.abs(u - u_np)) <= 1e-14
+        assert np.max(np.abs(u.T @ u - np.eye(3))) < 1e-14
+        h = np.array([[0.0, 0.0, op], [0.0, 0.0, oc], [op, oc, delta]])
+        lam = np.diag([0.0, scalar[4], scalar[5]])
+        assert np.max(np.abs(u.T @ h @ u - lam)) < 1e-12 * max(root, 1.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(st.floats(1.0, 300.0), st.floats(0.05, 0.5),
+           st.sampled_from(["counterintuitive", "intuitive"]),
+           detuning, st.floats(0.0, 2.0),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_frame_orthogonal_and_antisymmetric(self, peak, width, ordering,
+                                                delta0, gamma1, times):
+        """On random schedules, constant or shaped detuning, U is orthogonal
+        and diagonalizes H wherever the floor is off, and F is
+        antisymmetric."""
+        kind = "shaped" if gamma1 > 1.0 else "constant"
+        d = DetuningSchedule(kind, delta0 / 100.0 if kind == "shaped"
+                             else delta0, gamma1 - 1.0, 0.5)
+        s = make_stirap_schedule(peak, 0.0, 1.0, ordering, width=width,
+                                 detuning=d)
+        fr = frame(s, np.array(times))
+        eye = np.broadcast_to(np.eye(3), fr.U.shape)
+        np.testing.assert_allclose(fr.U.swapaxes(-1, -2) @ fr.U, eye,
+                                   atol=1e-14)
+        np.testing.assert_array_equal(fr.F, -fr.F.swapaxes(-1, -2))
+        for k in np.flatnonzero(~fr.floor_engaged):
+            h = hamiltonian(s, times[k])
+            scale = max(1.0, np.max(np.abs(h)))
+            np.testing.assert_allclose(fr.U[k].T @ h @ fr.U[k],
+                                       np.diag(fr.lam[k]), atol=1e-12 * scale)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from threelevel.adiabatic import frame
-from threelevel.analysis import (adiabatic_populations,
-                                 compare_analytic_numeric, hadamard_fidelity,
+from threelevel.analysis import (compare_analytic_numeric, hadamard_fidelity,
                                  purity, quadrature_solution,
                                  stability_report)
 from threelevel.dissipation import Configuration, RateSet, derived_rates
@@ -51,7 +50,7 @@ class TestAdiabaticPopulations:
         rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
         traj = propagate_bare(Configuration.LAMBDA, RateSet(), s, rho0,
                               TIGHT, samples=11)
-        np.testing.assert_allclose(adiabatic_populations(traj),
+        np.testing.assert_allclose(traj.pops_adiabatic,
                                    traj.pops_bare, atol=1e-9)
 
     def test_populations_sum_to_one(self):
@@ -59,7 +58,7 @@ class TestAdiabaticPopulations:
         s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
         traj = propagate_bare(Configuration.LAMBDA, rates, s, SIG11,
                               samples=101)
-        sums = adiabatic_populations(traj).sum(axis=1)
+        sums = traj.pops_adiabatic.sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-8)
 
     def test_dark_population_stays_high_in_slow_sweep_regime(self):

@@ -72,12 +72,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             build_config(parse_config_text(
                 "horizon = -1\ninitial_state = bare_9\n"))
-        assert "horizon" in err.value.problems
+        assert "horizon" in err.value.problems["schedule"]
         assert "initial_state" in err.value.problems
 
     def test_load_config_unknown_source(self):
         with pytest.raises(ConfigError):
             load_config("no_such_scenario")
+
+    def test_file_shadowing_builtin_rejected(self, tmp_path, monkeypatch,
+                                            capsys):
+        """A file named like a builtin is ambiguous; './name' picks the
+        file."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "stirap_fig2").write_text("scenario = mine\n",
+                                              encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config("stirap_fig2")
+        assert "./stirap_fig2" in str(err.value)
+        assert main(["validate", "stirap_fig2"]) == 2
+        assert load_config("./stirap_fig2").scenario == "mine"
 
 
 class TestBuiltins:
@@ -132,6 +145,40 @@ class TestEmitTable:
         assert table["rho22_re"][-1] == record.summary["final_pop_bare_2"]
         assert table["purity"].min() == record.summary["purity_min"]
         assert table["R22"][-1] == record.summary["final_pop_adiabatic_2"]
+
+    def test_matches_row_loop(self, tmp_path):
+        """The vectorized writer gives the bytes of a per-row reference."""
+        cfg, record = self.make_record(tmp_path)
+        traj = run_trajectory(cfg)
+        lines = [",".join(TABLE_COLUMNS)]
+        for k in range(len(traj.times)):
+            row = [traj.times[k]]
+            for z in traj.rho[k].ravel():
+                row += [z.real, z.imag]
+            row += [*traj.pops_adiabatic[k], traj.purity[k], traj.theta[k],
+                    traj.phi[k], traj.lam[k, 1], traj.lam[k, 2],
+                    traj.omega_p[k], traj.omega_c[k], traj.delta[k]]
+            lines.append(",".join(f"{x:.17g}" for x in row)
+                         + f",{int(traj.floor_engaged[k])}")
+        expected = ("\n".join(lines) + "\n").encode("utf-8")
+        assert pathlib.Path(record.table_path).read_bytes() == expected
+
+    def test_failed_write_keeps_previous_table(self, tmp_path, monkeypatch):
+        """A write that fails part-way leaves the earlier table whole and
+        no partial file behind."""
+        cfg, record = self.make_record(tmp_path)
+        before = pathlib.Path(record.table_path).read_bytes()
+
+        def fail_midway(fname, *args, **kwargs):
+            with open(fname, "w", encoding="utf-8") as fh:
+                fh.write("t,rho11_re\n0.5,")
+            raise OSError("device full")
+
+        monkeypatch.setattr(np, "savetxt", fail_midway)
+        with pytest.raises(OSError):
+            emit_table(run_trajectory(cfg), record.table_path)
+        assert pathlib.Path(record.table_path).read_bytes() == before
+        assert os.listdir(tmp_path) == [os.path.basename(record.table_path)]
 
     def test_io_error_carries_path(self, tmp_path):
         cfg = load_config("stirap_fig2")
@@ -350,6 +397,22 @@ class TestMainEntry:
         assert (tmp_path / "stirap_fig2.csv").exists()
         out = capsys.readouterr().out
         assert "transfer" in out
+
+    @pytest.mark.parametrize("lines", [
+        "propagator.rk_pair = foo",
+        "propagator.n_steps = 0",
+        "propagator.method = expm_oracle\npropagator.n_slices = 10",
+        "detuning.kind = shaped\ndetuning.gamma1 = -1",
+        "pulses.width = -1",
+    ])
+    def test_unhonourable_config_exits_2(self, tmp_path, capsys, lines):
+        """Configs the propagator or the schedule would reject are config
+        errors for both validate and run, and no table is written."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(lines + "\n", encoding="utf-8")
+        for verb in ("validate", "run"):
+            assert main(["--out-dir", str(tmp_path), verb, str(cfg)]) == 2
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_sweep_config_errors_exit_2(self, tmp_path, capsys):
         for line in ("sweep.output.samples = 30, 2.5",

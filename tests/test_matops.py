@@ -1,144 +1,15 @@
 import numpy as np
-import pytest
 
-from threelevel.matops import (commutator, dagger, expm, frobenius_norm,
-                               herm_eig3, is_hermitian, is_unitary, ketbra,
-                               trace)
-
-
-def random_hermitian(rng, scale=1.0):
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    return scale * (a + a.conj().T) / 2
-
-
-class TestHermEig3:
-    def test_identity(self):
-        w, v = herm_eig3(np.eye(3, dtype=complex))
-        np.testing.assert_allclose(w, [1.0, 1.0, 1.0], atol=1e-14)
-        assert is_unitary(v)
-
-    def test_already_diagonal(self):
-        w, _ = herm_eig3(np.diag([0.0, -1.0, 2.0]).astype(complex))
-        np.testing.assert_allclose(w, [-1.0, 0.0, 2.0], atol=1e-14)
-
-    def test_two_photon_resonant_closed_form(self):
-        """Eigenvalues (Delta -/+ sqrt(Delta^2+4 Omega^2))/2 and 0."""
-        op = oc = 100.0
-        delta = 1000.0
-        h = op * (ketbra(1, 3) + ketbra(3, 1)) \
-            + oc * (ketbra(2, 3) + ketbra(3, 2)) + delta * ketbra(3, 3)
-        omega_sq = op ** 2 + oc ** 2
-        root = np.sqrt(delta ** 2 + 4 * omega_sq)
-        expected = sorted([0.0, 0.5 * (delta - root), 0.5 * (delta + root)])
-        w, v = herm_eig3(h)
-        np.testing.assert_allclose(w, expected, rtol=1e-12, atol=1e-9)
-        np.testing.assert_allclose(w[0], -19.615242270663, rtol=1e-10)
-        np.testing.assert_allclose(w[2], 1019.615242270663, rtol=1e-10)
-        # eigenvector residual
-        for k in range(3):
-            assert np.linalg.norm(h @ v[:, k] - w[k] * v[:, k]) < 1e-10 * root
-
-    def test_reconstruction_property(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            a = random_hermitian(rng, scale=10.0)
-            w, v = herm_eig3(a)
-            back = v @ np.diag(w) @ v.conj().T
-            assert frobenius_norm(back - a) < 1e-10 * max(1.0, np.abs(w).max())
-            assert is_unitary(v)
-            assert np.all(np.diff(w) >= -1e-12)
-
-    def test_phase_fixing_deterministic(self):
-        rng = np.random.default_rng(3)
-        a = random_hermitian(rng)
-        _, v1 = herm_eig3(a)
-        _, v2 = herm_eig3(a)
-        np.testing.assert_array_equal(v1, v2)
-        for k in range(3):
-            pivot = v1[np.argmax(np.abs(v1[:, k])), k]
-            assert abs(pivot.imag) < 1e-14
-            assert pivot.real > 0
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            herm_eig3(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]],
-                               dtype=complex))
-
-    def test_rejects_non_finite(self):
-        bad = np.eye(3, dtype=complex)
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            herm_eig3(bad)
-
-
-class TestExpm:
-    def test_zero_matrix(self):
-        np.testing.assert_allclose(expm(np.zeros((9, 9)), 0.3), np.eye(9),
-                                   atol=1e-15)
-
-    def test_diagonal(self):
-        d = np.array([0.1, -0.2, 1.5, 0.0, 2.0, -1.0, 0.3, 0.7, -0.5])
-        out = expm(np.diag(d).astype(complex), 0.7)
-        np.testing.assert_allclose(out, np.diag(np.exp(d * 0.7)), rtol=1e-14)
-
-    def test_matches_taylor_series(self):
-        """Truncated 20-term Taylor series as the independent oracle."""
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-        a /= np.linalg.norm(a, 2)
-        dt = 0.1
-        term = np.eye(9, dtype=complex)
-        series = np.eye(9, dtype=complex)
-        for n in range(1, 21):
-            term = term @ (a * dt) / n
-            series += term
-        np.testing.assert_allclose(expm(a, dt), series, atol=1e-12)
-
-    def test_semigroup_property(self):
-        rng = np.random.default_rng(13)
-        a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-        a /= np.linalg.norm(a, 2)
-        left = expm(a, 0.4) @ expm(a, 0.35)
-        np.testing.assert_allclose(left, expm(a, 0.75), atol=1e-10)
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_overflow_raises(self):
-        with pytest.raises(OverflowError):
-            expm(np.diag([1e4, 0, 0]).astype(complex), 100.0)
-
-    def test_non_finite_raises(self):
-        bad = np.zeros((3, 3), dtype=complex)
-        bad[1, 1] = np.inf
-        with pytest.raises(ValueError):
-            expm(bad, 1.0)
+from threelevel.matops import dagger, ketbra
 
 
 class TestAlgebra:
-    def test_commutator_with_identity(self):
-        rng = np.random.default_rng(5)
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        np.testing.assert_allclose(commutator(np.eye(3), b),
-                                   np.zeros((3, 3)), atol=1e-15)
-
     def test_transition_operator_commutator(self):
         """[|1><3|, |3><1|] expands to |1><1| - |3><3|."""
-        got = commutator(ketbra(1, 3), ketbra(3, 1))
-        np.testing.assert_array_equal(got, ketbra(1, 1) - ketbra(3, 3))
-
-    def test_trace(self):
-        assert trace(np.diag([1.0, 2.0, 3.0])) == pytest.approx(6.0)
+        a, b = ketbra(1, 3), ketbra(3, 1)
+        np.testing.assert_array_equal(a @ b - b @ a,
+                                      ketbra(1, 1) - ketbra(3, 3))
 
     def test_dagger(self):
         a = np.array([[1, 2j, 0], [0, 1, 3], [1j, 0, 2]], dtype=complex)
         np.testing.assert_array_equal(dagger(a), a.conj().T)
-
-    def test_commutator_trace_vanishes(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            assert abs(trace(commutator(a, b))) < 1e-12 * 10
-
-    def test_hermitian_check(self):
-        assert is_hermitian(np.diag([1.0, 2.0, 3.0]).astype(complex))
-        assert not is_hermitian(ketbra(1, 2))

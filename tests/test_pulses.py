@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 
 from threelevel.pulses import (ConstantPulse, DetuningSchedule, GaussianPulse,
-                               ThetaLawPulse, eval_envelope,
-                               make_stirap_schedule, shaped_detuning,
+                               ThetaLawPulse, make_stirap_schedule,
                                theta_law_schedule)
 
 
 class TestGaussianPulse:
     def test_peak_point(self):
         p = GaussianPulse(peak=100.0, center=0.5, width=0.1)
-        value, deriv = eval_envelope(p, 0.5)
+        value, deriv = p.value(0.5), p.derivative(0.5)
         assert value == pytest.approx(100.0)
         assert deriv == pytest.approx(0.0)
 
     def test_one_width_off_peak(self):
         p = GaussianPulse(peak=100.0, center=0.5, width=0.1)
-        value, _ = eval_envelope(p, 0.6)
+        value = p.value(0.6)
         assert value == pytest.approx(100.0 * math.exp(-1.0))
 
     def test_zero_peak(self):
@@ -148,13 +147,13 @@ class TestDetuning:
     def test_shaped_constant_coupling_zero_rate(self):
         d = DetuningSchedule(kind="shaped", delta0=5.0, gamma1=0.0, t0=0.0)
         s = make_stirap_schedule(1.0, 0.0, 1.0, "static", detuning=d)
-        value = shaped_detuning(d, s, 0.7)
+        value, _ = s.delta(0.7)
         assert float(value) == pytest.approx(5.0 * math.hypot(1.0, 1.0))
 
     def test_shaped_at_reference_time(self):
         d = DetuningSchedule(kind="shaped", delta0=3.0, gamma1=2.0, t0=0.4)
         s = make_stirap_schedule(1.0, 0.0, 1.0, "static", detuning=d)
-        assert float(shaped_detuning(d, s, 0.4)) == pytest.approx(
+        assert float(s.delta(0.4)[0]) == pytest.approx(
             3.0 * math.hypot(1.0, 1.0))
 
     def test_shaped_log_two_growth(self):
@@ -163,14 +162,8 @@ class TestDetuning:
         d = DetuningSchedule(kind="shaped", delta0=4.0, gamma1=gamma1, t0=0.0)
         s = make_stirap_schedule(1.0, 0.0, 2.0, "static", detuning=d)
         omega = math.hypot(1.0, 1.0)
-        assert float(shaped_detuning(d, s, t)) == pytest.approx(
+        assert float(s.delta(t)[0]) == pytest.approx(
             2.0 * 4.0 * omega)
-
-    def test_shaped_requires_shaped_kind(self):
-        d = DetuningSchedule(kind="constant", delta0=1.0)
-        s = make_stirap_schedule(1.0, 1.0, 1.0, "static")
-        with pytest.raises(ValueError):
-            shaped_detuning(d, s, 0.1)
 
     def test_negative_gamma1_rejected(self):
         with pytest.raises(ValueError):
