@@ -82,7 +82,6 @@ class ScenarioConfig:
     rk_pair: str = "dop853"
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
-    n_steps: int = 4000
     n_slices: int = 4000
     basis: str = "bare"
     samples: int = 1000
@@ -138,7 +137,6 @@ _KEY_TABLE = {
     "propagator.rk_pair": ("rk_pair", str),
     "propagator.rel_tol": ("rel_tol", float),
     "propagator.abs_tol": ("abs_tol", float),
-    "propagator.n_steps": ("n_steps", int),
     "propagator.n_slices": ("n_slices", int),
     "propagator.basis": ("basis", str),
     "output.samples": ("samples", int),
@@ -236,10 +234,11 @@ def _validate_config(cfg: ScenarioConfig):
         _settings(cfg).check_samples(cfg.samples)
     except ValueError as exc:
         problems["propagator"] = str(exc)
-    try:
-        _sweep_points(cfg)
-    except ConfigError as exc:
-        problems.update(exc.problems)
+    if cfg.sweep:
+        try:
+            _sweep_points(cfg)
+        except ConfigError as exc:
+            problems.update(exc.problems)
     if problems:
         raise ConfigError(problems)
 
@@ -348,8 +347,8 @@ def initial_density(cfg: ScenarioConfig, schedule) -> np.ndarray:
 
 def _settings(cfg: ScenarioConfig) -> PropagatorSettings:
     return PropagatorSettings(method=cfg.method, rel_tol=cfg.rel_tol,
-                              abs_tol=cfg.abs_tol, n_steps=cfg.n_steps,
-                              n_slices=cfg.n_slices, rk_pair=cfg.rk_pair)
+                              abs_tol=cfg.abs_tol, n_slices=cfg.n_slices,
+                              rk_pair=cfg.rk_pair)
 
 
 def run_trajectory(cfg: ScenarioConfig) -> Trajectory:
@@ -414,10 +413,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
 
 def _sweep_points(cfg: ScenarioConfig) -> list:
     """(scenario ID, point config, build error) per grid point, in grid
-    order.  IDs tag each axis with the repr of its value; two points with
-    one ID would write one table, so that raises ConfigError."""
+    order.  IDs tag each axis with the repr of its value.  Each point's
+    schedule and propagator settings are built here, like a base config's,
+    and a point they reject, or two points with one ID (which would write
+    one table), raise ConfigError.  A rate the point cannot take is its
+    build error, recorded when the sweep runs."""
     keys = [key for key, _ in cfg.sweep]
     points = []
+    problems = {}
     for combo in itertools.product(*(values for _, values in cfg.sweep)):
         tags = [f"{key.split('.')[-1]}={value!r}"
                 for key, value in zip(keys, combo)]
@@ -428,10 +431,18 @@ def _sweep_points(cfg: ScenarioConfig) -> list:
                 point = _set_field(point, _KEY_TABLE[key][0], value)
         except ValueError as exc:
             error = str(exc)
+        if error is None:
+            try:
+                build_schedule(point)
+                _settings(point).check_samples(point.samples)
+            except ValueError as exc:
+                problems[scenario_id] = str(exc)
         points.append((scenario_id, point, error))
     if len({scenario_id for scenario_id, _, _ in points}) < len(points):
-        raise ConfigError({"sweep": "two points share a scenario ID "
-                                    "(a value is repeated)"})
+        problems["sweep"] = ("two points share a scenario ID "
+                             "(a value is repeated)")
+    if problems:
+        raise ConfigError(problems)
     return points
 
 

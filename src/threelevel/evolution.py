@@ -11,13 +11,16 @@ and its dressed-basis counterpart, with R = U^dag rho U and F = U^dag dU/dt,
 Integration state is the real 9-vector (three populations plus real and
 imaginary parts of the upper-triangle coherences), so Hermiticity is
 structural; the trace is monitored, never renormalized.  Both right-hand
-sides multiply it by a real 9x9 generator combined from fixed blocks: the
-bare one is D + Omega_p Bp + Omega_c Bc + Delta Bd, the dressed one
+sides multiply it by a real 9x9 generator, a weighted sum of fixed blocks:
+the bare one is D + Omega_p Bp + Omega_c Bc + Delta Bd, the dressed one
 lam2 C2 + lam3 C3 + [., F] + W^-1 D W, with W the superoperator of
-R -> U R U^T.  Three propagation routes are provided: an embedded adaptive
-Runge-Kutta pair (Dormand-Prince 5(4) or 8(5,3)), a fixed-step classical
-RK4, and a matrix-exponential oracle that takes fourth-order Magnus steps
-(two Gauss nodes per slice) on the bare generator.
+R -> U R U^T.  The dressed dissipator is a trigonometric polynomial in the
+frame angles, so it enters as a table of harmonic blocks, built once per
+propagation and weighted by products of cos/sin(2k theta) and
+cos/sin(k phi).  Two propagation routes are provided: an embedded adaptive
+Runge-Kutta pair (Dormand-Prince 5(4) or 8(5,3)), and a matrix-exponential
+oracle that takes fourth-order Magnus steps (two Gauss nodes per slice) on
+the bare generator, exponentiated by `expm`.
 """
 
 import math
@@ -36,7 +39,7 @@ HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
 PURITY_TOL = 1e-10
 
-METHODS = ("adaptive_rk", "fixed_rk4", "expm_oracle")
+METHODS = ("adaptive_rk", "expm_oracle")
 _RK_METHODS = {"rk45": "RK45", "dop853": "DOP853"}
 _ORACLE_BLOCK = 128   # slices per batched expm call; bounds peak memory
 
@@ -52,7 +55,6 @@ class PropagatorSettings:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
     max_step: float = np.inf
-    n_steps: int = 4000               # fixed_rk4 grid resolution
     n_slices: int = 4000              # expm_oracle slice count
     rk_pair: str = "dop853"           # embedded pair: rk45 | dop853
 
@@ -63,15 +65,13 @@ class PropagatorSettings:
             raise ValueError(f"unknown method {self.method!r}")
         if self.rk_pair not in _RK_METHODS:
             raise ValueError(f"unknown rk_pair {self.rk_pair!r}")
-        if self.n_steps < 1 or self.n_slices < 1:
-            raise ValueError("step counts must be >= 1")
+        if self.n_slices < 1:
+            raise ValueError("n_slices must be >= 1")
 
     def check_samples(self, samples: int) -> None:
         """Raise ValueError unless this route can emit `samples` times."""
         if samples < 2:
             raise ValueError("need at least 2 output samples")
-        if self.method == "fixed_rk4" and self.n_steps < samples - 1:
-            raise ValueError("fixed_rk4 needs n_steps >= samples - 1")
         if self.method == "expm_oracle" and samples > self.n_slices + 1:
             raise ValueError("cannot emit more samples than slice boundaries")
 
@@ -169,22 +169,65 @@ _DRESSED = np.stack([
     _commutator_superop(ketbra(2, 3) - ketbra(3, 2), -1.0),
 ]).reshape(5, 81)
 
-# Frobenius metric of the packed coordinates, tr(A B) = a . (G b), and the
-# Hermitian basis with rho = sum_b r_b B_b, so r_a = tr(B_a rho) / G_a.  A
-# real orthogonal U preserves the metric, so W^-1 = G^-1 W^T G.
+# Frobenius metric of the packed coordinates, tr(A B) = a . (G b).  A real
+# orthogonal U preserves it, so W^-1 = G^-1 W^T G.
 _G = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
-_BASIS = unpack_many(np.eye(9))
-# W[a, b] = tr(B_a U B_b U^T) / G_a is bilinear in the entries of a real U:
-# W = (_CONJ @ np.outer(u, u).ravel()).reshape(9, 9).
-_CONJ = (np.einsum("aqp,bij->abpiqj", _BASIS, _BASIS).real
-         / _G[:, None, None, None, None, None]).reshape(81, 81)
 
 
-def _conjugation(u: np.ndarray) -> np.ndarray:
-    """9x9 real matrix of R -> U R U^T for a real 3x3 U, given in any shape
-    with its entries in row-major order."""
-    u = np.ravel(u)
-    return (_CONJ @ (u[:, None] * u).ravel()).reshape(9, 9)
+def _harmonics(x, degree, xp=np):
+    """1, then cos(k x), sin(k x) for k = 1..degree, elementwise."""
+    c, s = xp.cos(x), xp.sin(x)
+    out = [xp.cos(0.0 * x), c, s]
+    ck, sk = c, s
+    for _ in range(degree - 1):
+        ck, sk = ck * c - sk * s, sk * c + ck * s
+        out += [ck, sk]
+    return out
+
+
+# W^-1 D W is bilinear in W and W^-1, each quadratic in the entries of
+# U = A(theta) B(phi), so it is a trigonometric polynomial of degree 4 in
+# theta and in phi.  Every jump operator is a multiple of some |i><j|, so D
+# commutes with conjugation by diag(-1, -1, 1) = A(pi) and only even
+# harmonics of theta remain: degree 2 in 2 theta (5 functions) times degree
+# 4 in phi (9).  The 45 blocks follow from W at a tensor grid of
+# equispaced nodes, one period each, through the inverse of the grid's
+# harmonic values; W at the nodes does not depend on the rates.
+_THETA_NODES, _PHI_NODES = np.meshgrid(np.arange(5) * (np.pi / 5),
+                                       np.arange(9) * (2 * np.pi / 9),
+                                       indexing="ij")
+_HARMONIC_INV = np.linalg.inv(np.kron(
+    np.stack(_harmonics(2.0 * _THETA_NODES[:, 0], 2), axis=-1),
+    np.stack(_harmonics(_PHI_NODES[0], 4), axis=-1)))
+
+
+def _frame_superops(u: np.ndarray) -> np.ndarray:
+    """(n, 9, 9) real matrices of R -> U R U^T for real (n, 3, 3) U.  With
+    rho = sum_b r_b B_b over the packed basis B, r_a = tr(B_a rho) / G_a."""
+    basis = unpack_many(np.eye(9))
+    return np.einsum("aqp,npi,bij,nqj->nab", basis, u, basis, u,
+                     optimize=True).real / _G[:, None]
+
+
+_NODE_W = _frame_superops(np.stack(np.broadcast_arrays(*adiabatic.rotation(
+    _THETA_NODES.ravel(), _PHI_NODES.ravel())), axis=-1).reshape(45, 3, 3))
+
+
+def _dressed_table(d9: np.ndarray) -> np.ndarray:
+    """(50, 81) blocks of the dressed generator: the five `_DRESSED` blocks,
+    then the harmonic blocks of W^-1 D W in the order of `_dressed_coef`."""
+    at_nodes = _NODE_W.swapaxes(1, 2) @ (_G[:, None] * d9) @ _NODE_W
+    return np.concatenate([_DRESSED, _HARMONIC_INV @ (
+        at_nodes / _G[:, None]).reshape(45, 81)])
+
+
+def _dressed_coef(theta, phi, theta_dot, phi_dot, lam2, lam3) -> np.ndarray:
+    """Weights of the `_dressed_table` blocks at one frame, on floats."""
+    waves = _harmonics(phi, 4, math)          # waves[1:3] = cos, sin(phi)
+    products = [a * b for a in _harmonics(2.0 * theta, 2, math)
+                for b in waves]
+    return np.array([lam2, lam3, theta_dot * waves[1], theta_dot * waves[2],
+                     phi_dot] + products)
 
 
 def dissipator_superop(ops: list) -> np.ndarray:
@@ -265,36 +308,30 @@ def _solve_adaptive(rhs, r0, t_span, times, settings):
     return sol.y.T
 
 
-def _solve_fixed_rk4(rhs, r0, horizon, times, n_steps):
-    # integrate on a fine uniform grid and emit at the grid points nearest
-    # the requested times (identical when samples - 1 divides n_steps)
-    grid = np.linspace(0.0, horizon, n_steps + 1)
-    idx = np.rint(times / horizon * n_steps).astype(int)
-    h = grid[1] - grid[0]
-    out = np.empty((len(times), 9))
-    r = np.array(r0)
-    pos = {k: i for i, k in enumerate(idx)}
-    if 0 in pos:
-        out[pos[0]] = r
-    for k in range(n_steps):
-        t = grid[k]
-        k1 = rhs(t, r)
-        k2 = rhs(t + 0.5 * h, r + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, r + 0.5 * h * k2)
-        k4 = rhs(t + h, r + h * k3)
-        r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if k + 1 in pos:
-            out[pos[k + 1]] = r
-    return grid[idx], out
-
-
 def _integrate(rhs, r0, horizon, samples, settings):
-    """Run the configured Runge-Kutta route; returns (times, states)."""
+    """Run the adaptive Runge-Kutta pair; returns (times, states)."""
     times = np.linspace(0.0, horizon, samples)
-    if settings.method == "adaptive_rk":
-        return times, _solve_adaptive(rhs, r0, (0.0, horizon), times,
-                                      settings)
-    return _solve_fixed_rk4(rhs, r0, horizon, times, settings.n_steps)
+    return times, _solve_adaptive(rhs, r0, (0.0, horizon), times, settings)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of each real square matrix in a stack.
+
+    Each matrix is scaled by 2^-s, with s the smallest power that brings
+    its 1-norm to at most 1, exponentiated by its Taylor series of degree
+    18, whose remainder is then below 1e-17 in 1-norm, and squared s times.
+    """
+    a = np.asarray(a, dtype=float)
+    _, s = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))
+    s = np.maximum(s, 0)
+    x = np.ldexp(a, -s[..., None, None])
+    eye = np.eye(a.shape[-1])
+    out = eye + x / 18.0
+    for k in range(17, 0, -1):
+        out = eye + (x @ out) / k
+    for k in range(s.max(initial=0)):
+        out = np.where((s > k)[..., None, None], out @ out, out)
+    return out
 
 
 # --- public propagators ----------------------------------------------------
@@ -345,11 +382,13 @@ def propagate_adiabatic(config: Configuration, rates: RateSet,
                         xi_appendix_verbatim: bool = False) -> Trajectory:
     """Propagate the dressed-basis master equation from R0 over the horizon.
 
-    The frame (U, F, quasienergies) is evaluated analytically at every
-    right-hand-side call, by `adiabatic.angles` and `adiabatic.rotation` on
-    plain floats, and weights the fixed dressed blocks; the
-    dissipator is the bare-basis one conjugated by the frame, W^-1 D W, which
-    keeps the two propagators consistent by construction.
+    The generator is one fixed table of real 9x9 blocks, built once per
+    propagation by `_dressed_table`: the quasienergy and frame-rotation
+    blocks, then the harmonic blocks of the bare-basis dissipator conjugated
+    into the frame, W^-1 D W, which keeps the two propagators consistent by
+    construction.  At every right-hand-side call `adiabatic.angles` gives
+    the frame on plain floats, and `_dressed_coef` turns it into the block
+    weights.
     """
     settings = settings or PropagatorSettings()
     settings.check_samples(samples)
@@ -357,38 +396,26 @@ def propagate_adiabatic(config: Configuration, rates: RateSet,
     if settings.method == "expm_oracle":
         raise ValueError("the expm oracle propagates the bare basis; "
                          "use propagate_expm_oracle")
-    ops = lindblad_ops(config, rates, xi_appendix_verbatim)
-    gd9 = _G[:, None] * dissipator_superop(ops)
-    dissipative = len(ops) > 0
+    table = _dressed_table(dissipator_superop(
+        lindblad_ops(config, rates, xi_appendix_verbatim)))
     rabi_scalar = schedule.rabi_scalar
     delta_scalar = schedule.delta_scalar
-    angles, rotation = adiabatic.angles, adiabatic.rotation
+    angles = adiabatic.angles
 
     if schedule.is_static:
         # constant frame: F = 0, U and the quasienergies are fixed, so the
         # whole generator collapses to one constant real 9x9 matrix
         fr = adiabatic.frame(schedule, 0.0)
-        gen = (np.array((fr.lam[1], fr.lam[2], 0.0, 0.0, 0.0))
-               @ _DRESSED).reshape(9, 9)
-        if dissipative:
-            w = _conjugation(fr.U.real)
-            gen += (w.T @ gd9 @ w) / _G[:, None]
+        gen = (_dressed_coef(fr.theta, fr.phi, 0.0, 0.0, fr.lam[1], fr.lam[2])
+               @ table).reshape(9, 9)
 
         def rhs(t, r):
             return gen @ r
     else:
         def rhs(t, r):
-            theta, phi, theta_dot, phi_dot, lam2, lam3 = angles(
-                *rabi_scalar(t)[:6], *delta_scalar(t), xp=math)
-            u = rotation(theta, phi, xp=math)
-            sp, cp = -u[7], u[8]          # U[2, 1] = -sin(phi), U[2, 2]
-            coef = np.array((lam2, lam3, theta_dot * cp, theta_dot * sp,
-                             phi_dot))
-            out = (coef @ _DRESSED).reshape(9, 9) @ r
-            if dissipative:
-                w = _conjugation(np.array(u))
-                out += (w.T @ (gd9 @ (w @ r))) / _G
-            return out
+            coef = _dressed_coef(*angles(*rabi_scalar(t)[:6],
+                                         *delta_scalar(t), xp=math))
+            return (coef @ table).reshape(9, 9) @ r
 
     times, ys = _integrate(rhs, pack(R0), schedule.horizon, samples, settings)
     fr = adiabatic.frame(schedule, times)
@@ -411,11 +438,12 @@ def propagate_expm_oracle(config: Configuration, rates: RateSet,
         Omega = h/2 (A1 + A2) + (sqrt(3)/12) h^2 [A2, A1],
 
     which is fourth order in slice width.  Slices are exponentiated in
-    batched blocks, and no Runge-Kutta code is involved, so the result is an
-    independent check of the adaptive integrator.  Samples are taken at the
-    slice boundaries nearest `samples` uniform times.  The commutator term
-    does not keep a step completely positive, so slices far too coarse for
-    the drive can give negative populations, which raise PropagationError.
+    batched blocks by `expm`, and no Runge-Kutta code is involved, so the
+    result is an independent check of the adaptive integrator.  Samples are
+    taken at the slice boundaries nearest `samples` uniform times.  The
+    commutator term does not keep a step completely positive, so slices far
+    too coarse for the drive can give negative populations, which raise
+    PropagationError.
     """
     PropagatorSettings(method="expm_oracle",
                        n_slices=n_slices).check_samples(samples)
@@ -440,7 +468,7 @@ def propagate_expm_oracle(config: Configuration, rates: RateSet,
         a1, a2 = a[:, 0], a[:, 1]
         omega = (a2 @ a1 - a1 @ a2) * (math.sqrt(3.0) / 12.0 * h * h)
         omega += (0.5 * h) * (a1 + a2)
-        for k, prop in enumerate(scipy.linalg.expm(omega), start + 1):
+        for k, prop in enumerate(expm(omega), start + 1):
             r = prop @ r
             if j < samples and k == keep[j]:      # boundary k is a sample
                 out[j] = r

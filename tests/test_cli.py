@@ -336,12 +336,6 @@ class TestPropagatorPaths:
         adia = self.final_transfer("propagator.basis = adiabatic")
         assert abs(bare - adia) < 1e-6
 
-    def test_fixed_rk4_route(self):
-        bare = self.final_transfer()
-        fixed = self.final_transfer("propagator.method = fixed_rk4\n"
-                                    "propagator.n_steps = 20000")
-        assert abs(bare - fixed) < 1e-5
-
     def test_expm_oracle_route(self):
         bare = self.final_transfer()
         oracle = self.final_transfer("propagator.method = expm_oracle\n"
@@ -401,6 +395,7 @@ class TestMainEntry:
     @pytest.mark.parametrize("lines", [
         "propagator.rk_pair = foo",
         "propagator.n_steps = 0",
+        "propagator.method = fixed_rk4",
         "propagator.method = expm_oracle\npropagator.n_slices = 10",
         "detuning.kind = shaped\ndetuning.gamma1 = -1",
         "pulses.width = -1",
@@ -415,12 +410,19 @@ class TestMainEntry:
         assert not list(tmp_path.glob("*.csv"))
 
     def test_sweep_config_errors_exit_2(self, tmp_path, capsys):
-        for line in ("sweep.output.samples = 30, 2.5",
-                     "sweep.detuning.delta0 = 100, 100"):
+        """Each sweep point is checked like a base config: a point that
+        the settings reject (here 10 slices for 30 samples) fails
+        `validate` and `sweep` alike, before any table is written."""
+        for text in ("sweep.output.samples = 30, 2.5",
+                     "sweep.detuning.delta0 = 100, 100",
+                     "propagator.method = expm_oracle\n"
+                     "output.samples = 30\n"
+                     "sweep.propagator.n_slices = 10, 400"):
             cfg = tmp_path / "sweep.cfg"
-            cfg.write_text(line + "\n", encoding="utf-8")
-            assert main(["--out-dir", str(tmp_path), "sweep",
-                         str(cfg)]) == 2
+            cfg.write_text(text + "\n", encoding="utf-8")
+            for verb in ("validate", "sweep"):
+                assert main(["--out-dir", str(tmp_path), verb,
+                             str(cfg)]) == 2
         assert not list(tmp_path.glob("*.csv"))
 
     def test_readme_command_lines_parse(self):
@@ -434,16 +436,23 @@ class TestMainEntry:
             args = _build_parser().parse_args(argv[1:])
             assert args.command == argv[-1] or args.config == argv[-1]
 
-    def test_import_leaves_scipy_submodules_unloaded(self):
-        """scipy.integrate and scipy.linalg load on first use, not with the
-        command-line module."""
-        code = ("import sys, threelevel.cli; print(*sorted(m for m in "
-                "('scipy.integrate', 'scipy.linalg') if m in sys.modules))")
+    def test_import_leaves_scipy_submodules_unloaded(self, tmp_path):
+        """scipy.integrate loads on first use, not with the command-line
+        module, and nothing in the package loads scipy.linalg: an oracle
+        run leaves both unloaded."""
+        loaded = ("print(*sorted(m for m in ('scipy.integrate', "
+                  "'scipy.linalg') if m in sys.modules))")
+        code = (f"import sys, threelevel.cli; {loaded}; "
+                f"threelevel.cli.main(['--out-dir', {str(tmp_path)!r}, "
+                f"'--method', 'expm_oracle', '--samples', '11', 'run', "
+                f"'stirap_fig2']); {loaded}")
         src = str(pathlib.Path(threelevel.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == ""
+        lines = out.stdout.splitlines()
+        assert lines[0] == "" and lines[-1] == ""
+        assert (tmp_path / "stirap_fig2.csv").exists()
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("THREELEVEL_OUT_DIR", str(tmp_path))

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
-from threelevel.adiabatic import frame
+from threelevel.adiabatic import frame, rotation
 from threelevel.dissipation import (Configuration, RateSet, derived_rates,
                                     lindblad_ops)
 from threelevel import evolution
@@ -244,8 +245,7 @@ class TestExpmOracle:
         def forbidden(*args, **kwargs):
             raise AssertionError("oracle called Runge-Kutta code")
 
-        for name in ("_solve_adaptive", "_solve_fixed_rk4"):
-            monkeypatch.setattr(evolution, name, forbidden)
+        monkeypatch.setattr(evolution, "_solve_adaptive", forbidden)
         monkeypatch.setattr(evolution.scipy.integrate, "solve_ivp", forbidden)
         s = make_stirap_schedule(60.0, 400.0, 1.0, "counterintuitive")
         rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.01)
@@ -278,6 +278,31 @@ class TestExpmOracle:
         np.testing.assert_allclose(unpack(real @ pack(rho)),
                                    (m @ rho.reshape(9)).reshape(3, 3),
                                    atol=1e-13)
+
+
+class TestExpm:
+    def test_matches_scipy(self):
+        """The stacked numpy exponential against scipy on random real 9x9
+        matrices over eleven decades of 1-norm.  The exponential's relative
+        condition number is at least the norm, so above norm 1 either
+        result may carry an error of order norm * 1e-16 and the tolerance
+        grows with the norm."""
+        rng = np.random.default_rng(107)
+        norms = np.logspace(-8.0, 3.0, 45)
+        a = rng.normal(size=(45, 9, 9))
+        a *= (norms / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+        got = evolution.expm(a)
+        for m, e, norm in zip(a, got, norms):
+            ref = scipy.linalg.expm(m)
+            err = np.linalg.norm(e - ref, 1) / np.linalg.norm(ref, 1)
+            assert err <= 1e-13 * max(1.0, norm)
+
+    def test_single_matrix_and_zero(self):
+        np.testing.assert_array_equal(evolution.expm(np.zeros((9, 9))),
+                                      np.eye(9))
+        m = np.diag([1.0, -2.0, 0.5])
+        np.testing.assert_allclose(evolution.expm(m), np.diag(np.exp(
+            [1.0, -2.0, 0.5])), rtol=1e-15)
 
 
 def _complex_dressed_rhs(schedule, d9, dissipative, t, r):
@@ -380,25 +405,36 @@ class TestDressedGenerator:
                               _complex_static_rhs(s, d9, dissipative, r))
 
 
-class TestFixedRK4:
-    def test_fourth_order_self_convergence(self):
-        """Error against the adaptive reference scales as h^4 (ratio 16
-        within a factor of two per halving)."""
-        s = static_schedule(20.0, 15.0, 50.0)
-        rates = RateSet(gamma1=0.2, gamma2=0.3, gamma2_deph=0.05)
-        rng = np.random.default_rng(89)
-        rho0 = random_density(rng)
-        ref = propagate_bare(Configuration.LAMBDA, rates, s, rho0,
-                             PropagatorSettings(rel_tol=1e-12,
-                                                abs_tol=1e-14), samples=41)
-        errs = []
-        for n in (2000, 4000, 8000):
-            tr = propagate_bare(Configuration.LAMBDA, rates, s, rho0,
-                                PropagatorSettings(method="fixed_rk4",
-                                                   n_steps=n), samples=41)
-            errs.append(np.max(np.abs(tr.rho - ref.rho)))
-        for a, b in zip(errs, errs[1:]):
-            assert 8.0 < a / b < 32.0
+rate_or_off = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
+
+
+class TestHarmonicBlocks:
+    """The harmonic blocks of the dressed table reproduce the frame
+    dissipator W^-1 D W = G^-1 W^T (G D) W at angles between the nodes."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+           st.sampled_from([(Configuration.LAMBDA, False),
+                            (Configuration.XI, False),
+                            (Configuration.XI, True),
+                            (Configuration.V, False)]),
+           st.tuples(*[rate_or_off] * 5))
+    def test_reproduce_frame_dissipator(self, theta, phi, scheme, rates):
+        # nodes sit at multiples of pi/5 in theta and 2 pi/9 in phi
+        for x, step in ((theta, math.pi / 5), (phi, 2 * math.pi / 9)):
+            assume(abs(x / step - round(x / step)) > 1e-3)
+        config, verbatim = scheme
+        d9 = evolution.dissipator_superop(
+            lindblad_ops(config, RateSet(*rates), verbatim))
+        table = evolution._dressed_table(d9)
+        coef = evolution._dressed_coef(theta, phi, 0.0, 0.0, 0.0, 0.0)
+        got = (coef @ table).reshape(9, 9)
+        u = np.array(rotation(theta, phi, xp=math)).reshape(3, 3)
+        w = real_superop(lambda rho: u @ rho @ u.T)
+        g = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
+        ref = (w.T @ (g[:, None] * d9) @ w) / g[:, None]
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestClosedSystemSolution:
