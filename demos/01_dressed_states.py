@@ -5,11 +5,9 @@ quasienergies, the mixing angles, the bare-to-dressed transform U, and the
 nonadiabatic coupling F along a counterintuitive pulse pair.
 """
 
-import math
-
 import numpy as np
 
-from threelevel import angles, frame, hamiltonian, make_stirap_schedule
+from threelevel import frame, hamiltonian, make_stirap_schedule
 
 schedule = make_stirap_schedule(peak_omega=100.0, delta=1000.0, horizon=1.0,
                                 ordering="counterintuitive")
@@ -33,14 +31,11 @@ residual = fr.U.conj().T @ h @ fr.U - np.diag(fr.lam)
 print(f"\nAt t = {t_mid}: max |U^dag H U - diag(lam)| = "
       f"{np.max(np.abs(residual)):.2e}")
 
-# angles() is the elementwise kernel behind frame(); with xp=math it takes
-# the plain floats of the scalar drive path, as the dressed integrator does.
-op, oc, dop, doc, omega, domega, _ = schedule.rabi_scalar(t_mid)
-theta, phi, theta_dot, phi_dot, _, _ = angles(
-    op, oc, dop, doc, omega, domega, *schedule.delta_scalar(t_mid), xp=math)
-print(f"mixing angles: theta = {theta:.4f}, phi = {phi:.4f}, "
-      f"Omega = {omega:.3f}; rates theta' = {theta_dot:.4f}, "
-      f"phi' = {phi_dot:.5f}")
+# frame() also carries the angle rates; all of them come from angles(), the
+# elementwise kernel that the dressed integrator evaluates on its stage times.
+print(f"mixing angles: theta = {fr.theta:.4f}, phi = {fr.phi:.4f}, "
+      f"Omega = {schedule.rabi(t_mid).omega:.3f}; rates theta' = "
+      f"{fr.theta_dot:.4f}, phi' = {fr.phi_dot:.5f}")
 print("dressed states (columns of U):")
 print(np.array_str(fr.U.real, precision=4, suppress_small=True))
 

@@ -27,10 +27,10 @@ defined as F = U^dag dU/dt, which is real antisymmetric with
 
     F12 = theta' cos(phi),  F13 = theta' sin(phi),  F23 = phi'.
 
-These formulas live once, in the elementwise kernel `angles` and in
-`rotation`.  Both take a namespace `xp`: `math` for the plain floats of the
-dressed right-hand side, numpy for time grids.  `frame` evaluates them on a
-schedule at a scalar time or on a grid.
+These formulas live once, in the elementwise numpy kernels `angles` and
+`rotation`.  `frame` evaluates them on a schedule at a scalar time or on a
+grid, and the dressed generator kernel of `evolution` weights its block
+table with `angles` on the stage times of each integrator step.
 """
 
 from dataclasses import dataclass
@@ -71,23 +71,23 @@ def hamiltonian(schedule: PulseSchedule, t: float) -> np.ndarray:
     return h
 
 
-def angles(op, oc, dop, doc, omega, domega, delta, ddelta, xp=np):
+def angles(op, oc, dop, doc, omega, domega, delta, ddelta):
     """(theta, phi, theta', phi', lam2, lam3) from the drives, the total
     coupling omega, the detuning and their time derivatives, elementwise."""
-    theta = xp.atan2(op, oc)
-    phi = 0.5 * xp.atan2(2.0 * omega, delta)
+    theta = np.arctan2(op, oc)
+    phi = 0.5 * np.arctan2(2.0 * omega, delta)
     theta_dot = (dop * oc - op * doc) / (omega * omega)
     phi_dot = (domega * delta - omega * ddelta) / (delta * delta
                                                    + 4.0 * omega * omega)
-    root = xp.hypot(delta, 2.0 * omega)
+    root = np.hypot(delta, 2.0 * omega)
     return (theta, phi, theta_dot, phi_dot,
             0.5 * (delta - root), 0.5 * (delta + root))
 
 
-def rotation(theta, phi, xp=np):
+def rotation(theta, phi):
     """The nine entries of U, row by row."""
-    st, ct = xp.sin(theta), xp.cos(theta)
-    sp, cp = xp.sin(phi), xp.cos(phi)
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
     return (ct, st * cp, st * sp,
             -st, ct * cp, ct * sp,
             0.0, -sp, cp)

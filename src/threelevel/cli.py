@@ -79,7 +79,6 @@ class ScenarioConfig:
     detuning_gamma1: float = 0.0
     detuning_t0: float = 0.0
     method: str = "adaptive_rk"
-    rk_pair: str = "dop853"
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
     n_slices: int = 4000
@@ -134,7 +133,6 @@ _KEY_TABLE = {
     "detuning.gamma1": ("detuning_gamma1", float),
     "detuning.t0": ("detuning_t0", float),
     "propagator.method": ("method", str),
-    "propagator.rk_pair": ("rk_pair", str),
     "propagator.rel_tol": ("rel_tol", float),
     "propagator.abs_tol": ("abs_tol", float),
     "propagator.n_slices": ("n_slices", int),
@@ -347,13 +345,14 @@ def initial_density(cfg: ScenarioConfig, schedule) -> np.ndarray:
 
 def _settings(cfg: ScenarioConfig) -> PropagatorSettings:
     return PropagatorSettings(method=cfg.method, rel_tol=cfg.rel_tol,
-                              abs_tol=cfg.abs_tol, n_slices=cfg.n_slices,
-                              rk_pair=cfg.rk_pair)
+                              abs_tol=cfg.abs_tol, n_slices=cfg.n_slices)
 
 
-def run_trajectory(cfg: ScenarioConfig) -> Trajectory:
-    """Propagate the configured scenario and return its Trajectory."""
-    schedule = build_schedule(cfg)
+def run_trajectory(cfg: ScenarioConfig, schedule=None) -> Trajectory:
+    """Propagate the configured scenario and return its Trajectory.  A
+    caller that has already built the config's schedule passes it."""
+    if schedule is None:
+        schedule = build_schedule(cfg)
     rho0 = initial_density(cfg, schedule)
     settings = _settings(cfg)
     if cfg.method == "expm_oracle":
@@ -402,7 +401,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
     scenario_id = scenario_id or cfg.scenario
     os.makedirs(out_dir, exist_ok=True)
     schedule = build_schedule(cfg)
-    traj = run_trajectory(cfg)
+    traj = run_trajectory(cfg, schedule)
     table_path = os.path.join(out_dir, f"{scenario_id}.csv")
     emit_table(traj, table_path)
     report = stability_report(cfg.configuration, cfg.rates, schedule)
@@ -412,12 +411,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
 
 
 def _sweep_points(cfg: ScenarioConfig) -> list:
-    """(scenario ID, point config, build error) per grid point, in grid
-    order.  IDs tag each axis with the repr of its value.  Each point's
-    schedule and propagator settings are built here, like a base config's,
-    and a point they reject, or two points with one ID (which would write
-    one table), raise ConfigError.  A rate the point cannot take is its
-    build error, recorded when the sweep runs."""
+    """(scenario ID, point config) per grid point, in grid order.  IDs tag
+    each axis with the repr of its value.  Each point's rates, schedule and
+    propagator settings are built here, like a base config's, and a point
+    they reject, or two points with one ID (which would write one table),
+    raise ConfigError."""
     keys = [key for key, _ in cfg.sweep]
     points = []
     problems = {}
@@ -425,20 +423,16 @@ def _sweep_points(cfg: ScenarioConfig) -> list:
         tags = [f"{key.split('.')[-1]}={value!r}"
                 for key, value in zip(keys, combo)]
         scenario_id = "__".join([cfg.scenario] + tags)
-        point, error = replace(cfg, sweep=()), None
+        point = replace(cfg, sweep=())
         try:
             for key, value in zip(keys, combo):
                 point = _set_field(point, _KEY_TABLE[key][0], value)
+            build_schedule(point)
+            _settings(point).check_samples(point.samples)
         except ValueError as exc:
-            error = str(exc)
-        if error is None:
-            try:
-                build_schedule(point)
-                _settings(point).check_samples(point.samples)
-            except ValueError as exc:
-                problems[scenario_id] = str(exc)
-        points.append((scenario_id, point, error))
-    if len({scenario_id for scenario_id, _, _ in points}) < len(points):
+            problems[scenario_id] = str(exc)
+        points.append((scenario_id, point))
+    if len({scenario_id for scenario_id, _ in points}) < len(points):
         problems["sweep"] = ("two points share a scenario ID "
                              "(a value is repeated)")
     if problems:
@@ -454,11 +448,7 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str, workers: int = 1) -> list:
     points = _sweep_points(cfg)
 
     def one(item):
-        scenario_id, point, build_error = item
-        if build_error is not None:
-            return RunRecord(scenario_id=scenario_id,
-                             params=_flat_params(point), table_path="",
-                             stability=None, summary={}, error=build_error)
+        scenario_id, point = item
         try:
             return run_scenario(point, out_dir, scenario_id=scenario_id)
         except (PropagationError, ValueError) as exc:
@@ -537,13 +527,17 @@ def _print_record(record: RunRecord):
 
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
+    """The config with the command-line flags applied, validated again
+    only when a flag changed it."""
+    given = cfg
     if args.samples is not None:
         cfg = replace(cfg, samples=args.samples)
     if args.method is not None:
         cfg = replace(cfg, method=args.method)
     if args.tol is not None:
         cfg = replace(cfg, rel_tol=args.tol, abs_tol=args.tol * 1e-2)
-    _validate_config(cfg)
+    if cfg != given:
+        _validate_config(cfg)
     return cfg
 
 

@@ -10,19 +10,24 @@ and its dressed-basis counterpart, with R = U^dag rho U and F = U^dag dU/dt,
 
 Integration state is the real 9-vector (three populations plus real and
 imaginary parts of the upper-triangle coherences), so Hermiticity is
-structural; the trace is monitored, never renormalized.  Both right-hand
-sides multiply it by a real 9x9 generator, a weighted sum of fixed blocks:
-the bare one is D + Omega_p Bp + Omega_c Bc + Delta Bd, the dressed one
+structural; the trace is monitored, never renormalized.  Both equations
+multiply it by a real 9x9 generator, a weighted sum of fixed blocks: the
+bare one is D + Omega_p Bp + Omega_c Bc + Delta Bd, the dressed one
 lam2 C2 + lam3 C3 + [., F] + W^-1 D W, with W the superoperator of
 R -> U R U^T.  The dressed dissipator is a trigonometric polynomial in the
 frame angles, so it enters as a table of harmonic blocks, built once per
 propagation and weighted by products of cos/sin(2k theta) and
-cos/sin(k phi).  Two propagation routes are provided: an embedded adaptive
-Runge-Kutta pair (Dormand-Prince 5(4) or 8(5,3)), and a matrix-exponential
-oracle that takes fourth-order Magnus steps (two Gauss nodes per slice) on
-the bare generator, exponentiated by `expm`.
+cos/sin(k phi).  One grid kernel, `_generator_kernel`, maps an array of
+times to the stacked generators of either basis.
+
+Two propagation routes call it: `_dop853`, the Dormand-Prince 8(5,3)
+embedded pair of scipy's DOP853 run in-house so that each step attempt
+builds all of its stage generators in one kernel call, and a
+matrix-exponential oracle that takes fourth-order Magnus steps (two Gauss
+nodes per slice) on the bare generator, exponentiated by `expm`.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +45,6 @@ POSITIVITY_TOL = 1e-8
 PURITY_TOL = 1e-10
 
 METHODS = ("adaptive_rk", "expm_oracle")
-_RK_METHODS = {"rk45": "RK45", "dop853": "DOP853"}
 _ORACLE_BLOCK = 128   # slices per batched expm call; bounds peak memory
 
 
@@ -54,17 +58,17 @@ class PropagatorSettings:
     method: str = "adaptive_rk"       # one of METHODS
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
-    max_step: float = np.inf
     n_slices: int = 4000              # expm_oracle slice count
-    rk_pair: str = "dop853"           # embedded pair: rk45 | dop853
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.rel_tol < 100 * np.finfo(float).eps:
+            # scipy's DOP853 would raise it to this floor with a warning
+            raise ValueError("rel_tol below 100 machine epsilons "
+                             "cannot be met in double precision")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.rk_pair not in _RK_METHODS:
-            raise ValueError(f"unknown rk_pair {self.rk_pair!r}")
         if self.n_slices < 1:
             raise ValueError("n_slices must be >= 1")
 
@@ -156,7 +160,7 @@ def _commutator_superop(a: np.ndarray, scale: complex) -> np.ndarray:
 _BP = _commutator_superop(ketbra(1, 3) + ketbra(3, 1), -1j)
 _BC = _commutator_superop(ketbra(2, 3) + ketbra(3, 2), -1j)
 _BD = _commutator_superop(ketbra(3, 3), -1j)
-_DRIVES = np.stack([_BP, _BC, _BD])   # (3, 9, 9), for batched assembly
+_DRIVES = np.stack([_BP, _BC, _BD]).reshape(3, 81)   # for batched assembly
 
 # Dressed blocks, weighted by (lam2, lam3, theta' cos(phi), theta' sin(phi),
 # phi'): -i[diag(e_k), R] for k = 2, 3, then [R, E_ij - E_ji] for the
@@ -174,14 +178,12 @@ _DRESSED = np.stack([
 _G = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
 
 
-def _harmonics(x, degree, xp=np):
-    """1, then cos(k x), sin(k x) for k = 1..degree, elementwise."""
-    c, s = xp.cos(x), xp.sin(x)
-    out = [xp.cos(0.0 * x), c, s]
-    ck, sk = c, s
-    for _ in range(degree - 1):
-        ck, sk = ck * c - sk * s, sk * c + ck * s
-        out += [ck, sk]
+def _harmonics(x, degree):
+    """1, then cos(k x), sin(k x) for k = 1..degree, along a new last axis:
+    the real and imaginary parts of exp(i k x), without sin(0)."""
+    waves = np.exp(1j * np.multiply.outer(x, np.arange(degree + 1.0)))
+    out = waves.view(float)[..., 1:]
+    out[..., 0] = 1.0
     return out
 
 
@@ -196,9 +198,8 @@ def _harmonics(x, degree, xp=np):
 _THETA_NODES, _PHI_NODES = np.meshgrid(np.arange(5) * (np.pi / 5),
                                        np.arange(9) * (2 * np.pi / 9),
                                        indexing="ij")
-_HARMONIC_INV = np.linalg.inv(np.kron(
-    np.stack(_harmonics(2.0 * _THETA_NODES[:, 0], 2), axis=-1),
-    np.stack(_harmonics(_PHI_NODES[0], 4), axis=-1)))
+_HARMONIC_INV = np.linalg.inv(np.kron(_harmonics(2.0 * _THETA_NODES[:, 0], 2),
+                                     _harmonics(_PHI_NODES[0], 4)))
 
 
 def _frame_superops(u: np.ndarray) -> np.ndarray:
@@ -215,23 +216,54 @@ _NODE_W = _frame_superops(np.stack(np.broadcast_arrays(*adiabatic.rotation(
 
 def _dressed_table(d9: np.ndarray) -> np.ndarray:
     """(50, 81) blocks of the dressed generator: the five `_DRESSED` blocks,
-    then the harmonic blocks of W^-1 D W in the order of `_dressed_coef`."""
+    then the harmonic blocks of W^-1 D W, row-major over the products of
+    `_harmonics(2 theta, 2)` and `_harmonics(phi, 4)`."""
     at_nodes = _NODE_W.swapaxes(1, 2) @ (_G[:, None] * d9) @ _NODE_W
     return np.concatenate([_DRESSED, _HARMONIC_INV @ (
         at_nodes / _G[:, None]).reshape(45, 81)])
 
 
-def _dressed_coef(theta, phi, theta_dot, phi_dot, lam2, lam3) -> np.ndarray:
-    """Weights of the `_dressed_table` blocks at one frame, on floats."""
-    waves = _harmonics(phi, 4, math)          # waves[1:3] = cos, sin(phi)
-    products = [a * b for a in _harmonics(2.0 * theta, 2, math)
-                for b in waves]
-    return np.array([lam2, lam3, theta_dot * waves[1], theta_dot * waves[2],
-                     phi_dot] + products)
-
-
 def dissipator_superop(ops: list) -> np.ndarray:
     return real_superop(lambda rho: dissipator(ops, rho))
+
+
+def _generator_kernel(schedule: PulseSchedule, d9: np.ndarray, basis: str):
+    """The grid generator kernel of one propagation: a function mapping an
+    array of times t to the stacked real generators, shape t.shape + (9, 9),
+    of the bare (`basis="bare"`) or the dressed (`"adiabatic"`) master
+    equation with bare-basis dissipator superoperator `d9`.
+
+    The bare generator is D + Omega_p Bp + Omega_c Bc + Delta Bd.  The
+    dressed one weights `_dressed_table` by the quasienergies, the rotation
+    rates and the harmonic products of the frame angles from
+    `adiabatic.angles`.  A static schedule has one constant generator, which
+    is built here and only broadcast over the times.
+    """
+    if basis == "bare":
+        def at(t):
+            delta, _ = schedule.delta(t)
+            coef = np.stack([schedule.pump.value(t), schedule.stokes.value(t),
+                             delta], axis=-1)
+            return (coef @ _DRIVES).reshape(t.shape + (9, 9)) + d9
+    else:
+        table = _dressed_table(d9)
+
+        def at(t):
+            theta, phi, theta_dot, phi_dot, lam2, lam3 = adiabatic.angles(
+                *schedule.rabi(t)[:6], *schedule.delta(t))
+            waves = _harmonics(phi, 4)        # [..., 1:3]: cos, sin(phi)
+            products = _harmonics(2.0 * theta, 2)[..., None] \
+                * waves[..., None, :]
+            coef = np.concatenate([
+                np.stack([lam2, lam3, theta_dot * waves[..., 1],
+                          theta_dot * waves[..., 2], phi_dot], axis=-1),
+                products.reshape(t.shape + (45,))], axis=-1)
+            return (coef @ table).reshape(t.shape + (9, 9))
+
+    if not schedule.is_static:
+        return lambda t: at(np.asarray(t, dtype=float))
+    constant = at(np.zeros(()))
+    return lambda t: np.broadcast_to(constant, np.shape(t) + (9, 9))
 
 
 # --- validation ------------------------------------------------------------
@@ -296,22 +328,123 @@ def _assemble(rho, fr: adiabatic.AdiabaticFrame) -> Trajectory:
 
 # --- integration backends --------------------------------------------------
 
-def _solve_adaptive(rhs, r0, t_span, times, settings):
-    sol = scipy.integrate.solve_ivp(
-        rhs, t_span, r0, method=_RK_METHODS[settings.rk_pair],
-        rtol=settings.rel_tol, atol=settings.abs_tol,
-        max_step=settings.max_step, t_eval=times)
-    if not sol.success:
-        reached = sol.t[-1] if sol.t.size else t_span[0]
-        raise PropagationError(
-            f"adaptive integration failed near t={reached:.6g}: {sol.message}")
-    return sol.y.T
+@functools.cache
+def _dop853_tableau():
+    """The DOP853 tableau, read once from the public class attributes of
+    `scipy.integrate.DOP853` (loading `scipy.integrate` on first use), laid
+    out for `_dop853`, whose buffer holds y in row 0 and stage k in row
+    k + 1.  `nodes` are the times, in steps, of the generators an attempt
+    needs: stages 1-11, the step end, the dense-output stages.  Row s of
+    `h * a`, with 1 in column 0, combines buffer rows 0..s into
+    y + h sum_k A[s, k] K[k], the argument of stage s (of the step end,
+    from B, for s = 12).  The rows of `dense` are the interpolant's
+    coefficients over the 16 stages, in units of h: B, e0 - B,
+    2B - e0 - e12 (with y_new - y = h B.K), then D."""
+    rk = scipy.integrate.DOP853
+    n = rk.n_stages
+    a = np.zeros((n + 4, n + 5))
+    a[:n, 1:n + 1] = rk.A
+    a[n, 1:n + 1] = rk.B
+    a[n + 1:, 1:] = rk.A_EXTRA
+    b = np.zeros(n + 4)
+    b[:n] = rk.B
+    e0, e_end = np.eye(n + 4)[[0, n]]
+    dense = np.vstack([b, e0 - b, 2 * b - e0 - e_end, rk.D])
+    return (np.concatenate([rk.C[1:], [1.0], rk.C_EXTRA]), a,
+            np.stack([rk.E5, rk.E3]), dense, n, rk.error_estimator_order)
 
 
-def _integrate(rhs, r0, horizon, samples, settings):
-    """Run the adaptive Runge-Kutta pair; returns (times, states)."""
-    times = np.linspace(0.0, horizon, samples)
-    return times, _solve_adaptive(rhs, r0, (0.0, horizon), times, settings)
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dop853(kernel, y0, times, rel_tol, abs_tol):
+    """States at the ascending `times`, from y0 at times[0], of dy/dt =
+    kernel(t) y under the Dormand-Prince 8(5,3) pair, and the number of
+    accepted steps.
+
+    This is scipy's DOP853, driven with output times, step for step: its
+    initial step selection, the 12-stage first-same-as-last step, the
+    combined E5/E3 error norm, step control with safety 0.9, factors in
+    [0.2, 10] and exponent -1/8, and the 7th-order dense output, whose three
+    extra stages are built only on steps that contain output times.  Only
+    the grouping of the sums differs.  Each attempt makes one kernel call
+    for all of its stage generators.  A step below ten spacings of the
+    floating-point numbers at t raises PropagationError.
+    """
+    nodes, a, errors, dense, n, order = _dop853_tableau()
+    exponent = -1 / (order + 1)
+    buf = np.empty((len(a) + 1, y0.size))     # y, then stages 0..15
+    views = [buf[:s + 1].T for s in range(len(a))]
+    t, t_bound = float(times[0]), float(times[-1])
+    y = y0
+    buf[1] = f = kernel(t) @ y
+
+    scale = abs_tol + np.abs(y) * rel_tol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_bound - t)
+    d2 = _rms((kernel(t + h0) @ (y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -exponent
+    h_abs = min(100 * h0, h1, t_bound - t)
+
+    out = np.empty((len(times), y0.size))
+    done = steps = 0
+    while t < t_bound:
+        buf[0] = y
+        min_step = 10 * abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise PropagationError(
+                    f"adaptive integration failed near t={t:.6g}: required "
+                    f"step size is less than spacing between numbers")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            gens = kernel(t + nodes * h)
+            weights = h * a
+            weights[:, 0] = 1.0
+            for s in range(1, n):
+                np.matmul(gens[s - 1], views[s] @ weights[s, :s + 1],
+                          out=buf[s + 1])
+            y_new = views[n] @ weights[n, :n + 1]
+            np.matmul(gens[n - 1], y_new, out=buf[n + 1])
+            scale = abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * rel_tol
+            err = errors @ buf[1:n + 2] / scale
+            err5_2, err3_2 = (err * err).sum(axis=1)
+            if err5_2 == 0 and err3_2 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * err5_2 / math.sqrt(
+                    (err5_2 + 0.01 * err3_2) * y.size)
+            if error_norm < 1:
+                factor = 10.0 if error_norm == 0 else min(
+                    10.0, 0.9 * error_norm ** exponent)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** exponent)
+            rejected = True
+
+        end = np.searchsorted(times, t_new, side="right")
+        if end > done:
+            for s in range(n + 1, len(a)):
+                np.matmul(gens[s - 1], views[s] @ weights[s, :s + 1],
+                          out=buf[s + 1])
+            # y + sum_k w_k(x) F_k, w_k the running products of x, 1 - x,
+            # x, ...: scipy's nested evaluation of the interpolant, expanded
+            x = (times[done:end] - t) / h
+            w = np.cumprod(np.stack([x, 1 - x] * 3 + [x], axis=-1), axis=-1)
+            out[done:end] = y + h * (w @ dense @ buf[1:])
+            done = end
+        t, y = t_new, y_new
+        buf[1] = buf[n + 1]
+        steps += 1
+    return out, steps
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -353,25 +486,9 @@ def propagate_bare(config: Configuration, rates: RateSet,
                                      settings.n_slices, samples=samples,
                                      xi_appendix_verbatim=xi_appendix_verbatim)
     d9 = dissipator_superop(lindblad_ops(config, rates, xi_appendix_verbatim))
-    blocks = np.stack([d9, _BP, _BC, _BD]).reshape(4, 81)
-    pump_sample = schedule.pump.sample
-    stokes_sample = schedule.stokes.sample
-    delta_scalar = schedule.delta_scalar
-
-    if schedule.is_static:
-        gen = (np.array((1.0, pump_sample(0.0)[0], stokes_sample(0.0)[0],
-                         delta_scalar(0.0)[0])) @ blocks).reshape(9, 9)
-
-        def rhs(t, r):
-            return gen @ r
-    else:
-        def rhs(t, r):
-            coef = np.array((1.0, pump_sample(t)[0], stokes_sample(t)[0],
-                             delta_scalar(t)[0]))
-            return (coef @ blocks).reshape(9, 9) @ r
-
-    times, ys = _integrate(rhs, pack(rho0), schedule.horizon, samples,
-                           settings)
+    times = np.linspace(0.0, schedule.horizon, samples)
+    ys, _ = _dop853(_generator_kernel(schedule, d9, "bare"), pack(rho0),
+                    times, settings.rel_tol, settings.abs_tol)
     return _assemble(unpack_many(ys), adiabatic.frame(schedule, times))
 
 
@@ -386,9 +503,8 @@ def propagate_adiabatic(config: Configuration, rates: RateSet,
     propagation by `_dressed_table`: the quasienergy and frame-rotation
     blocks, then the harmonic blocks of the bare-basis dissipator conjugated
     into the frame, W^-1 D W, which keeps the two propagators consistent by
-    construction.  At every right-hand-side call `adiabatic.angles` gives
-    the frame on plain floats, and `_dressed_coef` turns it into the block
-    weights.
+    construction.  The grid kernel weights it at the stage times of every
+    step attempt, from `adiabatic.angles` on numpy arrays.
     """
     settings = settings or PropagatorSettings()
     settings.check_samples(samples)
@@ -396,28 +512,10 @@ def propagate_adiabatic(config: Configuration, rates: RateSet,
     if settings.method == "expm_oracle":
         raise ValueError("the expm oracle propagates the bare basis; "
                          "use propagate_expm_oracle")
-    table = _dressed_table(dissipator_superop(
-        lindblad_ops(config, rates, xi_appendix_verbatim)))
-    rabi_scalar = schedule.rabi_scalar
-    delta_scalar = schedule.delta_scalar
-    angles = adiabatic.angles
-
-    if schedule.is_static:
-        # constant frame: F = 0, U and the quasienergies are fixed, so the
-        # whole generator collapses to one constant real 9x9 matrix
-        fr = adiabatic.frame(schedule, 0.0)
-        gen = (_dressed_coef(fr.theta, fr.phi, 0.0, 0.0, fr.lam[1], fr.lam[2])
-               @ table).reshape(9, 9)
-
-        def rhs(t, r):
-            return gen @ r
-    else:
-        def rhs(t, r):
-            coef = _dressed_coef(*angles(*rabi_scalar(t)[:6],
-                                         *delta_scalar(t), xp=math))
-            return (coef @ table).reshape(9, 9) @ r
-
-    times, ys = _integrate(rhs, pack(R0), schedule.horizon, samples, settings)
+    d9 = dissipator_superop(lindblad_ops(config, rates, xi_appendix_verbatim))
+    times = np.linspace(0.0, schedule.horizon, samples)
+    ys, _ = _dop853(_generator_kernel(schedule, d9, "adiabatic"), pack(R0),
+                    times, settings.rel_tol, settings.abs_tol)
     fr = adiabatic.frame(schedule, times)
     rho = fr.U @ unpack_many(ys) @ fr.U.conj().swapaxes(-1, -2)
     return _assemble(rho, fr)
@@ -448,7 +546,8 @@ def propagate_expm_oracle(config: Configuration, rates: RateSet,
     PropagatorSettings(method="expm_oracle",
                        n_slices=n_slices).check_samples(samples)
     rho0 = _validate_initial(rho0, "rho0")
-    d9 = dissipator_superop(lindblad_ops(config, rates, xi_appendix_verbatim))
+    kernel = _generator_kernel(schedule, dissipator_superop(
+        lindblad_ops(config, rates, xi_appendix_verbatim)), "bare")
     boundaries = np.linspace(0.0, schedule.horizon, n_slices + 1)
     keep = np.rint(np.linspace(0, n_slices, samples)).astype(int)
     h = boundaries[1] - boundaries[0]
@@ -459,13 +558,8 @@ def propagate_expm_oracle(config: Configuration, rates: RateSet,
     out[0] = r = pack(rho0)
     j = 1
     for start in range(0, n_slices, _ORACLE_BLOCK):
-        nodes = mids[start:start + _ORACLE_BLOCK, None] + gauss
-        delta, _ = schedule.delta(nodes)
-        coef = np.stack([schedule.pump.value(nodes),
-                         schedule.stokes.value(nodes), delta], axis=-1)
-        a = np.tensordot(coef, _DRIVES, axes=1)   # (block, 2, 9, 9)
-        a += d9
-        a1, a2 = a[:, 0], a[:, 1]
+        a = kernel(mids[start:start + _ORACLE_BLOCK, None] + gauss)
+        a1, a2 = a[:, 0], a[:, 1]                 # (block, 9, 9) each
         omega = (a2 @ a1 - a1 @ a2) * (math.sqrt(3.0) / 12.0 * h * h)
         omega += (0.5 * h) * (a1 + a2)
         for k, prop in enumerate(expm(omega), start + 1):

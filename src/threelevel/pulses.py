@@ -45,12 +45,6 @@ class GaussianPulse:
         u = (t - self.center) / self.width
         return self.peak * np.exp(-u * u) * (-2.0 * u / self.width)
 
-    def sample(self, t: float):
-        # scalar fast path for integrator inner loops
-        u = (t - self.center) / self.width
-        g = self.peak * math.exp(-u * u)
-        return g, -2.0 * u / self.width * g
-
 
 @dataclass(frozen=True)
 class ConstantPulse:
@@ -67,9 +61,6 @@ class ConstantPulse:
 
     def derivative(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
-
-    def sample(self, t: float):
-        return self.level, 0.0
 
 
 @dataclass(frozen=True)
@@ -111,15 +102,6 @@ class ThetaLawPulse:
         if self.component == "sin":
             return self.omega * np.cos(th) * dth
         return -self.omega * np.sin(th) * dth
-
-    def sample(self, t: float):
-        tan2 = math.tan(2.0 * self.theta0) * math.exp(
-            self.gamma_c * (t - self.t0))
-        th = 0.5 * math.atan(tan2)
-        dth = 0.25 * self.gamma_c * math.sin(4.0 * th)
-        if self.component == "sin":
-            return self.omega * math.sin(th), self.omega * math.cos(th) * dth
-        return self.omega * math.cos(th), -self.omega * math.sin(th) * dth
 
 
 @dataclass(frozen=True)
@@ -196,30 +178,6 @@ class PulseSchedule:
         value = d.delta0 * sample.omega * growth
         deriv = d.delta0 * growth * (sample.domega + d.gamma1 * sample.omega)
         return value, deriv
-
-    def rabi_scalar(self, t: float):
-        """Scalar fast path: (omega_p, omega_c, domega_p, domega_c, omega,
-        domega, floor_engaged) as plain floats."""
-        op, dop = self.pump.sample(t)
-        oc, doc = self.stokes.sample(t)
-        omega_raw = math.hypot(op, oc)
-        if omega_raw >= self.floor_omega and omega_raw > 0.0:
-            omega, floored = omega_raw, False
-        elif self.floor_omega > 0.0:
-            omega, floored = self.floor_omega, True
-        else:
-            raise ValueError("total coupling vanished and no floor is set")
-        domega = (op * dop + oc * doc) / omega
-        return op, oc, dop, doc, omega, domega, floored
-
-    def delta_scalar(self, t: float):
-        d = self.detuning
-        if d.kind == "constant":
-            return d.delta0, 0.0
-        op, oc, dop, doc, omega, domega, _ = self.rabi_scalar(t)
-        growth = math.exp(d.gamma1 * (t - d.t0))
-        return (d.delta0 * omega * growth,
-                d.delta0 * growth * (domega + d.gamma1 * omega))
 
     @property
     def is_static(self) -> bool:

@@ -127,7 +127,7 @@ class TestFrame:
         for op, oc, delta in zip(ops, ocs, deltas):
             theta = math.atan2(op, oc)
             phi = 0.5 * math.atan2(2 * math.hypot(op, oc), delta)
-            u = np.array(rotation(theta, phi, xp=math)).reshape(3, 3)
+            u = np.array(rotation(theta, phi)).reshape(3, 3)
             assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-10
             assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-10
 
@@ -214,21 +214,23 @@ class TestKernel:
               database=None)
     @given(drive, drive, rate, rate, detuning, rate)
     def test_float_and_array_paths(self, op, oc, dop, doc, delta, ddelta):
-        """The math path of the right-hand side agrees with the numpy path
-        of the grids; U is orthogonal and diagonalizes H."""
+        """The kernels on plain floats, as `frame` at one time calls them,
+        agree with the kernels on a grid, as the integrators' stage times
+        call them; U is orthogonal and diagonalizes H."""
         omega = math.hypot(op, oc)
         assume(omega > 1e-6)   # below the floor U no longer diagonalizes H
         domega = (op * dop + oc * doc) / omega
         args = (op, oc, dop, doc, omega, domega, delta, ddelta)
-        scalar = angles(*args, xp=math)
-        array = angles(*map(np.asarray, args))
+        scalar = angles(*args)
+        grid = angles(*(np.full(17, a) for a in args))
+        array = [a[3] for a in grid]
         root = math.hypot(delta, 2.0 * omega)
         scales = (1.0, 1.0, abs(scalar[2]), abs(scalar[3]), root, root)
         for a, b, scale in zip(scalar, array, scales):
             assert abs(a - b) <= 1e-14 * scale
-        u = np.array(rotation(*scalar[:2], xp=math)).reshape(3, 3)
-        u_np = np.array(rotation(*array[:2])).reshape(3, 3)
-        assert np.max(np.abs(u - u_np)) <= 1e-14
+        u = np.array(rotation(*scalar[:2])).reshape(3, 3)
+        u_grid = np.stack(np.broadcast_arrays(*rotation(*grid[:2])), axis=-1)
+        assert np.max(np.abs(u - u_grid[3].reshape(3, 3))) <= 1e-14
         assert np.max(np.abs(u.T @ u - np.eye(3))) < 1e-14
         h = np.array([[0.0, 0.0, op], [0.0, 0.0, oc], [op, oc, delta]])
         lam = np.diag([0.0, scalar[4], scalar[5]])

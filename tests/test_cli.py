@@ -261,12 +261,26 @@ class TestRunSweep:
         assert records[0].summary == direct.summary
 
     def test_per_point_failure_recorded(self, tmp_path):
-        cfg = self.small("sweep.rates.gamma1 = 0.2, -1.0, 0.4\n")
+        """A point that fails numerically is recorded and the sweep goes
+        on: one Magnus slice over the whole dissipative transfer gives a
+        negative population, 400 and 800 slices do not."""
+        cfg = build_config(parse_config_text("""
+        scenario = sweep_demo
+        rates.gamma1 = 0.5
+        rates.gamma2 = 0.5
+        rates.gamma2_deph = 0.01
+        pulses.peak_omega = 50.0
+        detuning.delta0 = 400.0
+        output.samples = 2
+        propagator.method = expm_oracle
+        sweep.propagator.n_slices = 400, 1, 800
+        """))
         records = run_sweep(cfg, str(tmp_path))
         assert len(records) == 3
         assert records[0].error is None
         assert records[1].error is not None
         assert records[2].error is None
+        assert "negative population" in records[1].error
 
     def test_close_values_get_distinct_tables(self, tmp_path):
         """Values equal to six significant digits still name two tables."""
@@ -396,6 +410,7 @@ class TestMainEntry:
         "propagator.rk_pair = foo",
         "propagator.n_steps = 0",
         "propagator.method = fixed_rk4",
+        "propagator.rel_tol = 1e-15",
         "propagator.method = expm_oracle\npropagator.n_slices = 10",
         "detuning.kind = shaped\ndetuning.gamma1 = -1",
         "pulses.width = -1",
@@ -411,10 +426,13 @@ class TestMainEntry:
 
     def test_sweep_config_errors_exit_2(self, tmp_path, capsys):
         """Each sweep point is checked like a base config: a point that
-        the settings reject (here 10 slices for 30 samples) fails
-        `validate` and `sweep` alike, before any table is written."""
+        the rates or the settings reject (here a negative decay rate, or
+        10 slices for 30 samples) fails `validate` and `sweep` alike, before
+        any table is written."""
         for text in ("sweep.output.samples = 30, 2.5",
                      "sweep.detuning.delta0 = 100, 100",
+                     "output.samples = 30\n"
+                     "sweep.rates.gamma1 = 0.2, -1.0",
                      "propagator.method = expm_oracle\n"
                      "output.samples = 30\n"
                      "sweep.propagator.n_slices = 10, 400"):
@@ -424,6 +442,28 @@ class TestMainEntry:
                 assert main(["--out-dir", str(tmp_path), verb,
                              str(cfg)]) == 2
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_schedule_built_once_per_use(self, tmp_path, monkeypatch,
+                                         capsys):
+        """A run builds its schedule once to validate the config and once
+        to run it; a sweep also builds each point's once to validate it
+        and once more when the sweep runs it.  A flag that leaves the config
+        as it was does not validate it again."""
+        built = []
+        real = threelevel.cli.build_schedule
+        monkeypatch.setattr(threelevel.cli, "build_schedule",
+                            lambda cfg: built.append(cfg) or real(cfg))
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("pulses.peak_omega = 50.0\noutput.samples = 30\n"
+                       "propagator.rel_tol = 1e-7\npropagator.abs_tol = 1e-9\n"
+                       "sweep.detuning.delta0 = 200, 400, 800\n",
+                       encoding="utf-8")
+        for argv, count in ((["run", "hadamard_hold"], 2),
+                            (["--samples", "1000", "run", "hadamard_hold"], 2),
+                            (["sweep", str(cfg)], 10)):
+            built.clear()
+            assert main(["--out-dir", str(tmp_path), *argv]) == 0
+            assert len(built) == count
 
     def test_readme_command_lines_parse(self):
         readme = pathlib.Path(__file__).parents[1] / "README.md"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
@@ -245,8 +246,7 @@ class TestExpmOracle:
         def forbidden(*args, **kwargs):
             raise AssertionError("oracle called Runge-Kutta code")
 
-        monkeypatch.setattr(evolution, "_solve_adaptive", forbidden)
-        monkeypatch.setattr(evolution.scipy.integrate, "solve_ivp", forbidden)
+        monkeypatch.setattr(evolution, "_dop853", forbidden)
         s = make_stirap_schedule(60.0, 400.0, 1.0, "counterintuitive")
         rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.01)
         tr = propagate_expm_oracle(Configuration.LAMBDA, rates, s, SIG11,
@@ -308,8 +308,8 @@ class TestExpm:
 def _complex_dressed_rhs(schedule, d9, dissipative, t, r):
     """The dressed right-hand side evaluated on complex 3x3 matrices:
     -i[diag(lam), R] + [R, F] + U^T D(U R U^T) U."""
-    op, oc, dop, doc, omega, domega, _ = schedule.rabi_scalar(t)
-    dv, ddv = schedule.delta_scalar(t)
+    op, oc, dop, doc, omega, domega, _ = map(float, schedule.rabi(t))
+    dv, ddv = map(float, schedule.delta(t))
     theta = math.atan2(op, oc)
     phi = 0.5 * math.atan2(2.0 * omega, dv)
     root = math.hypot(dv, 2.0 * omega)
@@ -352,23 +352,11 @@ def _complex_static_rhs(schedule, d9, dissipative, r):
 
 
 class TestDressedGenerator:
-    """The real 9x9 dressed generator against the complex 3x3 formula."""
+    """The dressed grid kernel, called on an array of random times, against
+    the complex 3x3 formula at each of them."""
 
     RATES = RateSet(gamma1=0.5, gamma2=0.3, gamma1_deph=0.05,
                     gamma2_deph=0.1, gamma3_deph=0.2)
-
-    @staticmethod
-    def captured_rhs(monkeypatch, config, rates, schedule):
-        """The rhs propagate_adiabatic hands to its integrator."""
-        seen = []
-
-        def capture(rhs, r0, t_span, times, settings):
-            seen.append(rhs)
-            return np.tile(r0, (len(times), 1))
-
-        monkeypatch.setattr(evolution, "_solve_adaptive", capture)
-        propagate_adiabatic(config, rates, schedule, SIG11, samples=2)
-        return seen[0]
 
     @staticmethod
     def assert_close(new, ref):
@@ -376,7 +364,7 @@ class TestDressedGenerator:
 
     @pytest.mark.parametrize("config", list(Configuration))
     @pytest.mark.parametrize("dissipative", [True, False])
-    def test_time_dependent(self, monkeypatch, config, dissipative):
+    def test_time_dependent(self, config, dissipative):
         rng = np.random.default_rng(101)
         rates = self.RATES if dissipative else RateSet()
         d9 = evolution.dissipator_superop(lindblad_ops(config, rates))
@@ -384,25 +372,60 @@ class TestDressedGenerator:
         for s in (make_stirap_schedule(100.0, 1000.0, 1.0, "intuitive"),
                   make_stirap_schedule(100.0, 0.0, 1.0, "counterintuitive",
                                        detuning=shaped)):
-            rhs = self.captured_rhs(monkeypatch, config, rates, s)
-            for t in rng.uniform(0.0, 1.0, size=20):
+            times = rng.uniform(0.0, 1.0, size=20)
+            gens = evolution._generator_kernel(s, d9, "adiabatic")(times)
+            assert gens.shape == (20, 9, 9)
+            for t, gen in zip(times, gens):
                 r = rng.normal(size=9)
                 self.assert_close(
-                    rhs(t, r),
-                    _complex_dressed_rhs(s, d9, dissipative, t, r))
+                    gen @ r, _complex_dressed_rhs(s, d9, dissipative, t, r))
 
     @pytest.mark.parametrize("config", list(Configuration))
     @pytest.mark.parametrize("dissipative", [True, False])
-    def test_static(self, monkeypatch, config, dissipative):
+    def test_static(self, config, dissipative):
         rng = np.random.default_rng(103)
         rates = self.RATES if dissipative else RateSet()
         d9 = evolution.dissipator_superop(lindblad_ops(config, rates))
         s = static_schedule(80.0, 50.0, 600.0)
-        rhs = self.captured_rhs(monkeypatch, config, rates, s)
-        for _ in range(20):
+        gens = evolution._generator_kernel(s, d9, "adiabatic")(
+            rng.uniform(size=20))
+        assert gens.shape == (20, 9, 9)
+        for gen in gens:
             r = rng.normal(size=9)
-            self.assert_close(rhs(rng.uniform(), r),
+            self.assert_close(gen @ r,
                               _complex_static_rhs(s, d9, dissipative, r))
+
+
+class TestDop853:
+    """The in-house stepper against scipy's DOP853 driven through
+    `solve_ivp` on the same generator: the same accepted steps and the same
+    states at the output times, which no step end of the reference hits."""
+
+    RATES = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.01)
+
+    @pytest.mark.parametrize("tolerances", [(1e-9, 1e-11), (1e-12, 1e-14)])
+    @pytest.mark.parametrize("case", ["bare", "dressed", "static"])
+    def test_matches_scipy(self, case, tolerances):
+        rel_tol, abs_tol = tolerances
+        if case == "static":
+            s = static_schedule(50.0, 50.0, 200.0)
+        else:
+            s = make_stirap_schedule(50.0, 200.0, 1.0, "counterintuitive")
+        basis = "adiabatic" if case == "dressed" else "bare"
+        d9 = evolution.dissipator_superop(
+            lindblad_ops(Configuration.LAMBDA, self.RATES))
+        kernel = evolution._generator_kernel(s, d9, basis)
+        u = frame(s, 0.0).U if basis == "adiabatic" else np.eye(3)
+        y0 = pack(u.conj().T @ SIG11 @ u)
+        times = np.linspace(0.0, 1.0, 201)
+        got, steps = evolution._dop853(kernel, y0, times, rel_tol, abs_tol)
+        ref = scipy.integrate.solve_ivp(
+            lambda t, y: kernel(t) @ y, (0.0, 1.0), y0, method="DOP853",
+            rtol=rel_tol, atol=abs_tol, dense_output=True)
+        assert ref.success
+        assert steps == ref.t.size - 1       # t: 0, then every step end
+        assert not np.isin(times[1:-1], ref.t).any()
+        assert np.max(np.abs(got - ref.sol(times).T)) <= 1e-12
 
 
 rate_or_off = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
@@ -427,10 +450,11 @@ class TestHarmonicBlocks:
         config, verbatim = scheme
         d9 = evolution.dissipator_superop(
             lindblad_ops(config, RateSet(*rates), verbatim))
-        table = evolution._dressed_table(d9)
-        coef = evolution._dressed_coef(theta, phi, 0.0, 0.0, 0.0, 0.0)
-        got = (coef @ table).reshape(9, 9)
-        u = np.array(rotation(theta, phi, xp=math)).reshape(3, 3)
+        harmonic = evolution._dressed_table(d9)[5:]
+        weights = np.outer(evolution._harmonics(2.0 * theta, 2),
+                           evolution._harmonics(phi, 4)).ravel()
+        got = (weights @ harmonic).reshape(9, 9)
+        u = np.array(rotation(theta, phi)).reshape(3, 3)
         w = real_superop(lambda rho: u @ rho @ u.T)
         g = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
         ref = (w.T @ (g[:, None] * d9) @ w) / g[:, None]
@@ -510,6 +534,6 @@ class TestTrajectoryInvariants:
         with pytest.raises(ValueError):
             PropagatorSettings(rel_tol=0.0)
         with pytest.raises(ValueError):
-            PropagatorSettings(method="verlet")
+            PropagatorSettings(rel_tol=1e-15)
         with pytest.raises(ValueError):
-            PropagatorSettings(rk_pair="rk3")
+            PropagatorSettings(method="verlet")

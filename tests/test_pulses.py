@@ -29,13 +29,6 @@ class TestGaussianPulse:
         with pytest.raises(ValueError):
             GaussianPulse(peak=1.0, center=0.0, width=0.0)
 
-    def test_scalar_fast_path_matches(self):
-        p = GaussianPulse(peak=3.0, center=0.4, width=0.2)
-        for t in (0.0, 0.37, 1.2):
-            v, d = p.sample(t)
-            assert v == pytest.approx(float(p.value(t)), abs=1e-15)
-            assert d == pytest.approx(float(p.derivative(t)), abs=1e-15)
-
 
 class TestAnalyticDerivatives:
     """Central finite differences validate every envelope's derivative."""
