@@ -14,12 +14,11 @@ import math
 import numpy as np
 
 from threelevel import (Configuration, PropagatorSettings, RateSet,
-                        derived_rates, propagate_adiabatic,
-                        quadrature_solution, stability_report,
-                        theta_law_schedule)
+                        derived_rates, propagate, quadrature_solution,
+                        stability_report, theta_law_schedule)
 
 SIG11 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-settings = PropagatorSettings(rel_tol=1e-10, abs_tol=1e-12)
+settings = PropagatorSettings(rel_tol=1e-10, abs_tol=1e-12, basis="adiabatic")
 
 print("ground-coherence decay law, measured against the quadrature:")
 print(f"{'gc*T':>7} {'measured':>12} {'predicted':>12} {'rel.err':>8}")
@@ -28,8 +27,8 @@ for gc_T in (0.005, 0.01, 0.05):
     der = derived_rates(Configuration.LAMBDA, rates)
     schedule = theta_law_schedule(math.pi / 8, der.gamma_c, 0.5,
                                   math.hypot(100.0, 100.0), 1.0, delta=1000.0)
-    traj = propagate_adiabatic(Configuration.LAMBDA, rates, schedule, SIG11,
-                               settings, samples=201)
+    traj = propagate(Configuration.LAMBDA, rates, schedule, SIG11, settings,
+                     samples=201)
     measured = 1.0 - traj.R[-1, 0, 0].real
     grid = np.linspace(0.0, 1.0, 8001)
     predicted = 1.0 - quadrature_solution("dark_R11", schedule, der,

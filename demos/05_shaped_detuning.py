@@ -16,7 +16,7 @@ import numpy as np
 
 from threelevel import (Configuration, DetuningSchedule, PropagatorSettings,
                         RateSet, derived_rates, make_stirap_schedule,
-                        propagate_adiabatic)
+                        propagate)
 
 rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.01)
 der = derived_rates(Configuration.LAMBDA, rates)
@@ -31,13 +31,13 @@ mean_delta = float(np.trapezoid(s_shaped.delta(grid)[0], grid))
 s_const = make_stirap_schedule(100.0, mean_delta, 1.0, "static")
 
 bright = np.diag([0.0, 1.0, 0.0]).astype(complex)
-settings = PropagatorSettings(rel_tol=1e-10, abs_tol=1e-12)
+settings = PropagatorSettings(rel_tol=1e-10, abs_tol=1e-12, basis="adiabatic")
 
 print(f"detuning sweeps from {float(s_shaped.delta(0.0)[0]):.1f} to "
       f"{float(s_shaped.delta(1.0)[0]):.1f} (mean {mean_delta:.1f})")
 for tag, schedule in (("shaped", s_shaped), ("constant", s_const)):
-    traj = propagate_adiabatic(Configuration.LAMBDA, rates, schedule, bright,
-                               settings, samples=101)
+    traj = propagate(Configuration.LAMBDA, rates, schedule, bright, settings,
+                     samples=101)
     r32 = abs(traj.R[-1, 2, 1])
     print(f"{tag:>9}: |R32(T)| = {r32:.3e}, final R22 = "
           f"{traj.R[-1, 1, 1].real:.6f}")

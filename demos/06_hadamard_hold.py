@@ -11,7 +11,7 @@ import numpy as np
 
 from threelevel import (Configuration, PropagatorSettings, RateSet,
                         derived_rates, hadamard_fidelity,
-                        make_stirap_schedule, propagate_bare)
+                        make_stirap_schedule, propagate)
 
 rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.1)  # gc*T = 0.05
 der = derived_rates(Configuration.LAMBDA, rates)
@@ -19,8 +19,8 @@ schedule = make_stirap_schedule(100.0, 1000.0, 1.0, "static")
 
 psi = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
 rho0 = np.outer(psi, psi.conj())
-traj = propagate_bare(Configuration.LAMBDA, rates, schedule, rho0,
-                      PropagatorSettings(), samples=801)
+traj = propagate(Configuration.LAMBDA, rates, schedule, rho0,
+                 PropagatorSettings(), samples=801)
 fid, t_cross = hadamard_fidelity(traj, "lambda1")
 
 print(f"gamma_c * T = {der.gamma_c:.3f}")

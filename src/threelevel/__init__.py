@@ -7,8 +7,7 @@ from .analysis import (QuadratureEstimate, StabilityReport,
 from .dissipation import (Configuration, DerivedRates, RateSet,
                           derived_rates, dissipator, lindblad_ops)
 from .evolution import (PropagationError, PropagatorSettings, Trajectory,
-                        closed_system_solution, propagate_adiabatic,
-                        propagate_bare, propagate_expm_oracle)
+                        closed_system_solution, propagate)
 from .matops import dagger, ketbra
 from .pulses import (ConstantPulse, DetuningSchedule, GaussianPulse,
                      PulseSchedule, ThetaLawPulse, make_stirap_schedule,

@@ -28,11 +28,6 @@ MUCH_GREATER = 10.0
 # quadrature integrals: at least this many grid points per period.
 MIN_POINTS_PER_PERIOD = 20
 
-QUADRATURE_KINDS = (
-    "dark_R11", "dark_R22", "dark_R21", "dark_R31", "dark_R32",
-    "b_R11", "b_R22", "b_R12", "b_R31", "b_R32", "third_R33",
-)
-
 # Trajectory matrix element (row, col) each quadrature approximates; the
 # dark_/b_/third_ prefix names the dressed state the run starts in.
 _QUADRATURE_TARGET = {
@@ -42,6 +37,10 @@ _QUADRATURE_TARGET = {
     "b_R31": (2, 0), "b_R32": (2, 1),
     "third_R33": (2, 2),
 }
+QUADRATURE_KINDS = tuple(_QUADRATURE_TARGET)
+# kinds with a diagonal target estimate a population, which stays in [0, 1]
+_POPULATION_KINDS = tuple(kind for kind, (row, col)
+                          in _QUADRATURE_TARGET.items() if row == col)
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ def quadrature_solution(which: str, schedule: PulseSchedule,
     else:  # third_R33
         values = 1.0 - rates.gamma_total * grid
 
-    if which in ("dark_R11", "dark_R22", "b_R11", "b_R22", "third_R33"):
+    if which in _POPULATION_KINDS:
         if np.min(values) < -1e-9 or np.max(values) > 1.0 + 1e-9:
             raise ValueError(
                 f"{which} left [0, 1]; the perturbative solution is outside "
@@ -176,7 +175,7 @@ def compare_analytic_numeric(which: str, traj: Trajectory,
     analytic = estimate.values[::refine]
     row, col = _QUADRATURE_TARGET[which]
     numeric = traj.R[:, row, col]
-    if which in ("dark_R11", "dark_R22", "b_R11", "b_R22", "third_R33"):
+    if which in _POPULATION_KINDS:
         numeric = numeric.real
     return float(np.max(np.abs(numeric - analytic)))
 

@@ -4,7 +4,9 @@ Scenarios are described by flat dotted-key text files (``key = value`` lines,
 ``#`` comments); all physical quantities are dimensionless in units of the
 scenario horizon.  Four builtin scenarios reproduce the standard experiments:
 counterintuitive and intuitive transfer, the purity-versus-detuning sweep,
-and the Hadamard-type hold at theta = pi/4.
+and the Hadamard-type hold at theta = pi/4.  The ``propagator.*`` keys fill
+one `PropagatorSettings`, which checks them and picks the basis and the
+method; a run is one `evolution.propagate` call.
 
 Command line:
 
@@ -21,6 +23,7 @@ codes: 0 success, 2 config error, 3 numerical failure.
 import argparse
 import concurrent.futures
 import itertools
+import operator
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -31,8 +34,7 @@ from .adiabatic import frame
 from .analysis import StabilityReport, stability_report
 from .dissipation import Configuration, RateSet
 from .evolution import (METHODS, PropagationError, PropagatorSettings,
-                        Trajectory, propagate_adiabatic, propagate_bare,
-                        propagate_expm_oracle)
+                        Trajectory, propagate)
 from .pulses import DetuningSchedule, make_stirap_schedule
 
 OUT_DIR_ENV = "THREELEVEL_OUT_DIR"
@@ -78,11 +80,7 @@ class ScenarioConfig:
     delta0: float = 0.0
     detuning_gamma1: float = 0.0
     detuning_t0: float = 0.0
-    method: str = "adaptive_rk"
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-11
-    n_slices: int = 4000
-    basis: str = "bare"
+    settings: PropagatorSettings = field(default_factory=PropagatorSettings)
     samples: int = 1000
     sweep: tuple = ()   # ((dotted key, (values...)), ...)
 
@@ -132,11 +130,11 @@ _KEY_TABLE = {
     "detuning.delta0": ("delta0", float),
     "detuning.gamma1": ("detuning_gamma1", float),
     "detuning.t0": ("detuning_t0", float),
-    "propagator.method": ("method", str),
-    "propagator.rel_tol": ("rel_tol", float),
-    "propagator.abs_tol": ("abs_tol", float),
-    "propagator.n_slices": ("n_slices", int),
-    "propagator.basis": ("basis", str),
+    "propagator.method": ("settings.method", str),
+    "propagator.rel_tol": ("settings.rel_tol", float),
+    "propagator.abs_tol": ("settings.abs_tol", float),
+    "propagator.n_slices": ("settings.n_slices", int),
+    "propagator.basis": ("settings.basis", str),
     "output.samples": ("samples", int),
 }
 
@@ -166,9 +164,12 @@ def parse_config_text(text: str) -> dict:
 
 
 def _set_field(cfg: ScenarioConfig, path: str, value) -> ScenarioConfig:
-    if path.startswith("rates."):
-        return replace(cfg, rates=replace(cfg.rates, **{path[6:]: value}))
-    return replace(cfg, **{path: value})
+    """cfg with the field at `path` set; `member.name` sets a field of the
+    member (`rates`, `settings`), whose own checks then run."""
+    member, _, name = path.rpartition(".")
+    if member:
+        value, name = replace(getattr(cfg, member), **{name: value}), member
+    return replace(cfg, **{name: value})
 
 
 def build_config(mapping: dict) -> ScenarioConfig:
@@ -222,14 +223,12 @@ def _validate_config(cfg: ScenarioConfig):
     if cfg.initial_state not in _INITIAL_STATES:
         problems["initial_state"] = \
             f"unknown state (choose from {sorted(_INITIAL_STATES)})"
-    if cfg.basis not in ("bare", "adiabatic"):
-        problems["propagator.basis"] = f"unknown basis {cfg.basis!r}"
     try:
         build_schedule(cfg)
     except ValueError as exc:
         problems["schedule"] = str(exc)
     try:
-        _settings(cfg).check_samples(cfg.samples)
+        cfg.settings.check_samples(cfg.samples)
     except ValueError as exc:
         problems["propagator"] = str(exc)
     if cfg.sweep:
@@ -343,41 +342,25 @@ def initial_density(cfg: ScenarioConfig, schedule) -> np.ndarray:
     return _INITIAL_STATES[state].astype(complex)
 
 
-def _settings(cfg: ScenarioConfig) -> PropagatorSettings:
-    return PropagatorSettings(method=cfg.method, rel_tol=cfg.rel_tol,
-                              abs_tol=cfg.abs_tol, n_slices=cfg.n_slices)
-
-
 def run_trajectory(cfg: ScenarioConfig, schedule=None) -> Trajectory:
     """Propagate the configured scenario and return its Trajectory.  A
     caller that has already built the config's schedule passes it."""
     if schedule is None:
         schedule = build_schedule(cfg)
     rho0 = initial_density(cfg, schedule)
-    settings = _settings(cfg)
-    if cfg.method == "expm_oracle":
-        return propagate_expm_oracle(
-            cfg.configuration, cfg.rates, schedule, rho0, cfg.n_slices,
-            samples=cfg.samples, xi_appendix_verbatim=cfg.xi_appendix_verbatim)
-    if cfg.basis == "adiabatic":
+    if cfg.settings.basis == "adiabatic":
         u = frame(schedule, 0.0).U
-        big_r0 = u.conj().T @ rho0 @ u
-        return propagate_adiabatic(
-            cfg.configuration, cfg.rates, schedule, big_r0, settings,
-            samples=cfg.samples, xi_appendix_verbatim=cfg.xi_appendix_verbatim)
-    return propagate_bare(
-        cfg.configuration, cfg.rates, schedule, rho0, settings,
-        samples=cfg.samples, xi_appendix_verbatim=cfg.xi_appendix_verbatim)
+        rho0 = u.conj().T @ rho0 @ u
+    return propagate(cfg.configuration, cfg.rates, schedule, rho0,
+                     cfg.settings, samples=cfg.samples,
+                     xi_appendix_verbatim=cfg.xi_appendix_verbatim)
 
 
 def _flat_params(cfg: ScenarioConfig) -> dict:
     out = {}
     for key, (path, _) in _KEY_TABLE.items():
-        if path.startswith("rates."):
-            out[key] = getattr(cfg.rates, path[6:])
-        else:
-            value = getattr(cfg, path)
-            out[key] = value.value if isinstance(value, Configuration) else value
+        value = operator.attrgetter(path)(cfg)
+        out[key] = value.value if isinstance(value, Configuration) else value
     return out
 
 
@@ -428,7 +411,7 @@ def _sweep_points(cfg: ScenarioConfig) -> list:
             for key, value in zip(keys, combo):
                 point = _set_field(point, _KEY_TABLE[key][0], value)
             build_schedule(point)
-            _settings(point).check_samples(point.samples)
+            point.settings.check_samples(point.samples)
         except ValueError as exc:
             problems[scenario_id] = str(exc)
         points.append((scenario_id, point))
@@ -533,9 +516,13 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     if args.samples is not None:
         cfg = replace(cfg, samples=args.samples)
     if args.method is not None:
-        cfg = replace(cfg, method=args.method)
+        cfg = _set_field(cfg, "settings.method", args.method)
     if args.tol is not None:
-        cfg = replace(cfg, rel_tol=args.tol, abs_tol=args.tol * 1e-2)
+        try:
+            cfg = replace(cfg, settings=replace(
+                cfg.settings, rel_tol=args.tol, abs_tol=args.tol * 1e-2))
+        except ValueError as exc:
+            raise ConfigError({"--tol": str(exc)}) from exc
     if cfg != given:
         _validate_config(cfg)
     return cfg

@@ -20,11 +20,14 @@ propagation and weighted by products of cos/sin(2k theta) and
 cos/sin(k phi).  One grid kernel, `_generator_kernel`, maps an array of
 times to the stacked generators of either basis.
 
-Two propagation routes call it: `_dop853`, the Dormand-Prince 8(5,3)
-embedded pair of scipy's DOP853 run in-house so that each step attempt
-builds all of its stage generators in one kernel call, and a
-matrix-exponential oracle that takes fourth-order Magnus steps (two Gauss
-nodes per slice) on the bare generator, exponentiated by `expm`.
+One public `propagate` builds the kernel of the basis its settings name
+and runs one of two integrators on it: `_dop853`, the Dormand-Prince
+8(5,3) embedded pair of scipy's DOP853 run in-house so that each step
+attempt builds all of its stage generators in one kernel call, or
+`_magnus4`, the matrix-exponential oracle, which takes fourth-order Magnus
+steps (two Gauss nodes per slice) exponentiated by `expm`.  So each
+integrator runs in either basis, and the two bases and the two integrators
+are independent cross-checks of one another.
 """
 
 import functools
@@ -45,6 +48,7 @@ POSITIVITY_TOL = 1e-8
 PURITY_TOL = 1e-10
 
 METHODS = ("adaptive_rk", "expm_oracle")
+BASES = ("bare", "adiabatic")
 _ORACLE_BLOCK = 128   # slices per batched expm call; bounds peak memory
 
 
@@ -55,10 +59,14 @@ class PropagationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PropagatorSettings:
+    """How `propagate` runs: the basis, the method and its tolerances or
+    slice count, each checked here."""
+
     method: str = "adaptive_rk"       # one of METHODS
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
     n_slices: int = 4000              # expm_oracle slice count
+    basis: str = "bare"               # one of BASES
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -69,6 +77,8 @@ class PropagatorSettings:
                              "cannot be met in double precision")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.basis not in BASES:
+            raise ValueError(f"unknown basis {self.basis!r}")
         if self.n_slices < 1:
             raise ValueError("n_slices must be >= 1")
 
@@ -114,23 +124,11 @@ def pack(rho: np.ndarray) -> np.ndarray:
     return r
 
 
-def unpack(r: np.ndarray) -> np.ndarray:
-    """Real 9-vector -> Hermitian 3x3."""
-    rho = np.empty((3, 3), dtype=complex)
-    rho[0, 0], rho[1, 1], rho[2, 2] = r[0], r[1], r[2]
-    rho[0, 1] = r[3] + 1j * r[4]
-    rho[0, 2] = r[5] + 1j * r[6]
-    rho[1, 2] = r[7] + 1j * r[8]
-    rho[1, 0] = np.conj(rho[0, 1])
-    rho[2, 0] = np.conj(rho[0, 2])
-    rho[2, 1] = np.conj(rho[1, 2])
-    return rho
-
-
-def unpack_many(rs: np.ndarray) -> np.ndarray:
+def unpack(rs: np.ndarray) -> np.ndarray:
+    """Real 9-vectors -> Hermitian 3x3 matrices, over any leading axes."""
     rs = np.asarray(rs)
     rho = np.empty(rs.shape[:-1] + (3, 3), dtype=complex)
-    rho[..., 0, 0], rho[..., 1, 1], rho[..., 2, 2] = rs[..., 0], rs[..., 1], rs[..., 2]
+    rho[..., range(3), range(3)] = rs[..., :3]
     rho[..., 0, 1] = rs[..., 3] + 1j * rs[..., 4]
     rho[..., 0, 2] = rs[..., 5] + 1j * rs[..., 6]
     rho[..., 1, 2] = rs[..., 7] + 1j * rs[..., 8]
@@ -205,7 +203,7 @@ _HARMONIC_INV = np.linalg.inv(np.kron(_harmonics(2.0 * _THETA_NODES[:, 0], 2),
 def _frame_superops(u: np.ndarray) -> np.ndarray:
     """(n, 9, 9) real matrices of R -> U R U^T for real (n, 3, 3) U.  With
     rho = sum_b r_b B_b over the packed basis B, r_a = tr(B_a rho) / G_a."""
-    basis = unpack_many(np.eye(9))
+    basis = unpack(np.eye(9))
     return np.einsum("aqp,npi,bij,nqj->nab", basis, u, basis, u,
                      optimize=True).real / _G[:, None]
 
@@ -467,95 +465,32 @@ def expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-# --- public propagators ----------------------------------------------------
+def _magnus4(kernel, y0, horizon, n_slices, samples):
+    """States of dy/dt = kernel(t) y, from y0 at t = 0, at the slice
+    boundaries nearest `samples` uniform times, and those boundaries' times,
+    under fourth-order Magnus steps (the verification oracle).
 
-def propagate_bare(config: Configuration, rates: RateSet,
-                   schedule: PulseSchedule, rho0: np.ndarray,
-                   settings: PropagatorSettings = None, samples: int = 1000,
-                   xi_appendix_verbatim: bool = False) -> Trajectory:
-    """Propagate the bare-basis master equation from rho0 over the horizon.
-
-    Returns a Trajectory sampled on `samples` uniform times, carrying both
-    the bare and dressed density matrices plus frame diagnostics.
-    """
-    settings = settings or PropagatorSettings()
-    settings.check_samples(samples)
-    rho0 = _validate_initial(rho0, "rho0")
-    if settings.method == "expm_oracle":
-        return propagate_expm_oracle(config, rates, schedule, rho0,
-                                     settings.n_slices, samples=samples,
-                                     xi_appendix_verbatim=xi_appendix_verbatim)
-    d9 = dissipator_superop(lindblad_ops(config, rates, xi_appendix_verbatim))
-    times = np.linspace(0.0, schedule.horizon, samples)
-    ys, _ = _dop853(_generator_kernel(schedule, d9, "bare"), pack(rho0),
-                    times, settings.rel_tol, settings.abs_tol)
-    return _assemble(unpack_many(ys), adiabatic.frame(schedule, times))
-
-
-def propagate_adiabatic(config: Configuration, rates: RateSet,
-                        schedule: PulseSchedule, R0: np.ndarray,
-                        settings: PropagatorSettings = None,
-                        samples: int = 1000,
-                        xi_appendix_verbatim: bool = False) -> Trajectory:
-    """Propagate the dressed-basis master equation from R0 over the horizon.
-
-    The generator is one fixed table of real 9x9 blocks, built once per
-    propagation by `_dressed_table`: the quasienergy and frame-rotation
-    blocks, then the harmonic blocks of the bare-basis dissipator conjugated
-    into the frame, W^-1 D W, which keeps the two propagators consistent by
-    construction.  The grid kernel weights it at the stage times of every
-    step attempt, from `adiabatic.angles` on numpy arrays.
-    """
-    settings = settings or PropagatorSettings()
-    settings.check_samples(samples)
-    R0 = _validate_initial(R0, "R0")
-    if settings.method == "expm_oracle":
-        raise ValueError("the expm oracle propagates the bare basis; "
-                         "use propagate_expm_oracle")
-    d9 = dissipator_superop(lindblad_ops(config, rates, xi_appendix_verbatim))
-    times = np.linspace(0.0, schedule.horizon, samples)
-    ys, _ = _dop853(_generator_kernel(schedule, d9, "adiabatic"), pack(R0),
-                    times, settings.rel_tol, settings.abs_tol)
-    fr = adiabatic.frame(schedule, times)
-    rho = fr.U @ unpack_many(ys) @ fr.U.conj().swapaxes(-1, -2)
-    return _assemble(rho, fr)
-
-
-def propagate_expm_oracle(config: Configuration, rates: RateSet,
-                          schedule: PulseSchedule, rho0: np.ndarray,
-                          n_slices: int, samples: int = 1000,
-                          xi_appendix_verbatim: bool = False) -> Trajectory:
-    """Fourth-order Magnus matrix-exponential propagation (verification
-    oracle).
-
-    On each of `n_slices` uniform slices of width h the real 9x9 generator
-    A(t) = D + Omega_p(t) Bp + Omega_c(t) Bc + Delta(t) Bd is sampled at the
-    two Gauss-Legendre nodes, A1 and A2, and the slice propagator is the
-    exact exponential of
+    On each of `n_slices` uniform slices of width h the generator is sampled
+    at the two Gauss-Legendre nodes, A1 and A2, and the slice propagator is
+    the exact exponential of
 
         Omega = h/2 (A1 + A2) + (sqrt(3)/12) h^2 [A2, A1],
 
     which is fourth order in slice width.  Slices are exponentiated in
     batched blocks by `expm`, and no Runge-Kutta code is involved, so the
-    result is an independent check of the adaptive integrator.  Samples are
-    taken at the slice boundaries nearest `samples` uniform times.  The
+    result is an independent check of the adaptive integrator.  The
     commutator term does not keep a step completely positive, so slices far
-    too coarse for the drive can give negative populations, which raise
-    PropagationError.
+    too coarse for the drive can give negative populations, which
+    `_assemble` rejects.
     """
-    PropagatorSettings(method="expm_oracle",
-                       n_slices=n_slices).check_samples(samples)
-    rho0 = _validate_initial(rho0, "rho0")
-    kernel = _generator_kernel(schedule, dissipator_superop(
-        lindblad_ops(config, rates, xi_appendix_verbatim)), "bare")
-    boundaries = np.linspace(0.0, schedule.horizon, n_slices + 1)
+    boundaries = np.linspace(0.0, horizon, n_slices + 1)
     keep = np.rint(np.linspace(0, n_slices, samples)).astype(int)
     h = boundaries[1] - boundaries[0]
     mids = 0.5 * (boundaries[:-1] + boundaries[1:])
     gauss = np.array([-1.0, 1.0]) * h / (2.0 * math.sqrt(3.0))
 
-    out = np.empty((samples, 9))
-    out[0] = r = pack(rho0)
+    out = np.empty((samples, y0.size))
+    out[0] = r = y0
     j = 1
     for start in range(0, n_slices, _ORACLE_BLOCK):
         a = kernel(mids[start:start + _ORACLE_BLOCK, None] + gauss)
@@ -567,8 +502,40 @@ def propagate_expm_oracle(config: Configuration, rates: RateSet,
             if j < samples and k == keep[j]:      # boundary k is a sample
                 out[j] = r
                 j += 1
-    return _assemble(unpack_many(out), adiabatic.frame(schedule,
-                                                       boundaries[keep]))
+    return out, boundaries[keep]
+
+
+# --- public propagator -----------------------------------------------------
+
+def propagate(config: Configuration, rates: RateSet, schedule: PulseSchedule,
+              rho0: np.ndarray, settings: PropagatorSettings = None,
+              samples: int = 1000,
+              xi_appendix_verbatim: bool = False) -> Trajectory:
+    """Propagate the master equation from rho0 over the horizon.
+
+    `settings.basis` picks the equation and the meaning of rho0: the bare
+    density matrix, or the dressed one, R(0) = U(0)^dag rho(0) U(0).
+    `settings.method` picks the integrator: `_dop853` at `samples` uniform
+    times, or `_magnus4` on `settings.n_slices` slices.  Either way the
+    Trajectory carries the bare and the dressed density matrices and the
+    frame diagnostics.
+    """
+    settings = settings or PropagatorSettings()
+    settings.check_samples(samples)
+    y0 = pack(_validate_initial(rho0, "rho0"))
+    kernel = _generator_kernel(schedule, dissipator_superop(
+        lindblad_ops(config, rates, xi_appendix_verbatim)), settings.basis)
+    if settings.method == "expm_oracle":
+        ys, times = _magnus4(kernel, y0, schedule.horizon, settings.n_slices,
+                             samples)
+    else:
+        times = np.linspace(0.0, schedule.horizon, samples)
+        ys, _ = _dop853(kernel, y0, times, settings.rel_tol, settings.abs_tol)
+    fr = adiabatic.frame(schedule, times)
+    rho = unpack(ys)
+    if settings.basis == "adiabatic":
+        rho = fr.U @ rho @ fr.U.conj().swapaxes(-1, -2)
+    return _assemble(rho, fr)
 
 
 def closed_system_solution(frame: adiabatic.AdiabaticFrame, R0: np.ndarray,

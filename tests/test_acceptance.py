@@ -5,6 +5,7 @@ are produced.  Every tolerance is fixed here, not tuned at runtime.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ from threelevel.analysis import quadrature_solution
 from threelevel.cli import ScenarioConfig, load_config, run_sweep, run_trajectory
 from threelevel.dissipation import Configuration, RateSet, derived_rates
 from threelevel.evolution import (PropagatorSettings, closed_system_solution,
-                                  propagate_adiabatic, propagate_bare,
-                                  propagate_expm_oracle)
+                                  propagate)
 from threelevel.pulses import (ConstantPulse, DetuningSchedule, PulseSchedule,
                                make_stirap_schedule, theta_law_schedule)
 
@@ -49,9 +49,10 @@ def test_criterion_01_closed_system_exactness():
     vec = np.array([0.6, 0.5, 0.4 + 0.3j])
     vec /= np.linalg.norm(vec)
     big_r0 = 0.7 * np.outer(vec, vec.conj()) + 0.3 * np.diag([0.5, 0.3, 0.2])
-    settings = PropagatorSettings(rel_tol=1e-12, abs_tol=1e-13)
-    traj = propagate_adiabatic(Configuration.LAMBDA, RateSet(), schedule,
-                               big_r0, settings, samples=201)
+    settings = PropagatorSettings(rel_tol=1e-12, abs_tol=1e-13,
+                                  basis="adiabatic")
+    traj = propagate(Configuration.LAMBDA, RateSet(), schedule,
+                     big_r0, settings, samples=201)
     exact = closed_system_solution(frame(schedule, 0.0), big_r0, traj.times)
     err = float(np.max(np.abs(traj.R - exact)))
     assert report(1, "closed-system exactness", err < 1e-8,
@@ -71,10 +72,11 @@ def test_criterion_02_basis_equivalence():
             schedule = make_stirap_schedule(PEAK, DELTA, 1.0, ordering)
             u0 = frame(schedule, 0.0).U
             big_r0 = u0.conj().T @ SIG11 @ u0
-            bare = propagate_bare(config, rates, schedule, SIG11, settings,
-                                  samples=301)
-            adia = propagate_adiabatic(config, rates, schedule, big_r0,
-                                       settings, samples=301)
+            bare = propagate(config, rates, schedule, SIG11, settings,
+                             samples=301)
+            adia = propagate(config, rates, schedule, big_r0,
+                             replace(settings, basis="adiabatic"),
+                             samples=301)
             diff = float(np.max(np.linalg.norm(adia.rho - bare.rho,
                                                axis=(1, 2))))
             if diff > worst:
@@ -93,10 +95,11 @@ def test_criterion_03_oracle_agreement():
     """
     rates = fig_rates(0.005)
     schedule = make_stirap_schedule(PEAK, DELTA, 1.0, "counterintuitive")
-    rk = propagate_bare(Configuration.LAMBDA, rates, schedule, SIG11,
-                        PropagatorSettings(), samples=1001)
-    oracle = propagate_expm_oracle(Configuration.LAMBDA, rates, schedule,
-                                   SIG11, 4000, samples=1001)
+    rk = propagate(Configuration.LAMBDA, rates, schedule, SIG11,
+                   PropagatorSettings(), samples=1001)
+    oracle = propagate(Configuration.LAMBDA, rates, schedule, SIG11,
+                       PropagatorSettings(method="expm_oracle",
+                                          n_slices=4000), samples=1001)
     np.testing.assert_allclose(rk.times, oracle.times, atol=1e-12)
     err = float(np.max(np.abs(rk.rho - oracle.rho)))
     assert report(3, "oracle agreement", err < 1e-6,
@@ -107,7 +110,8 @@ def test_criterion_04_dark_state_law():
     """Measured dark-state deficit matches (gamma_c/2) * integral of
     sin^2(2 theta) within 10 percent on the constant-coupling schedule
     whose mixing angle obeys the ground-coherence law."""
-    settings = PropagatorSettings(rel_tol=1e-10, abs_tol=1e-12)
+    settings = PropagatorSettings(rel_tol=1e-10, abs_tol=1e-12,
+                                  basis="adiabatic")
     results = []
     for gc_T in GC_FAMILY:
         rates = fig_rates(gc_T)
@@ -115,8 +119,8 @@ def test_criterion_04_dark_state_law():
         schedule = theta_law_schedule(math.pi / 8, der.gamma_c, 0.5,
                                       math.hypot(PEAK, PEAK), 1.0,
                                       delta=DELTA)
-        traj = propagate_adiabatic(Configuration.LAMBDA, rates, schedule,
-                                   SIG11, settings, samples=201)
+        traj = propagate(Configuration.LAMBDA, rates, schedule,
+                         SIG11, settings, samples=201)
         measured = 1.0 - traj.R[-1, 0, 0].real
         grid = np.linspace(0.0, 1.0, 8001)
         predicted = 1.0 - quadrature_solution("dark_R11", schedule, der,
@@ -149,8 +153,8 @@ def test_criterion_06_purity_monotone_in_detuning():
     minima, finals = [], []
     for delta in (100.0, 300.0, 1000.0):
         schedule = make_stirap_schedule(PEAK, delta, 1.0, "intuitive")
-        traj = propagate_bare(Configuration.LAMBDA, rates, schedule, SIG11,
-                              PropagatorSettings(), samples=401)
+        traj = propagate(Configuration.LAMBDA, rates, schedule, SIG11,
+                         PropagatorSettings(), samples=401)
         minima.append(float(traj.purity.min()))
         finals.append(float(traj.purity[-1]))
     ok = minima[0] <= minima[1] <= minima[2] \
@@ -169,10 +173,11 @@ def test_criterion_07_third_state_decay():
     der = derived_rates(Configuration.LAMBDA, rates)
     horizon = 0.1 / der.gamma_total
     schedule = make_stirap_schedule(PEAK, DELTA, horizon, "static")
-    traj = propagate_adiabatic(Configuration.LAMBDA, rates, schedule, SIG33,
-                               PropagatorSettings(rel_tol=1e-10,
-                                                  abs_tol=1e-12),
-                               samples=201)
+    traj = propagate(Configuration.LAMBDA, rates, schedule, SIG33,
+                     PropagatorSettings(rel_tol=1e-10,
+                                        abs_tol=1e-12,
+                                        basis="adiabatic"),
+                     samples=201)
     predicted = 1.0 - der.gamma_total * traj.times
     rel = float(np.max(np.abs(traj.R[:, 2, 2].real - predicted) / predicted))
     assert report(7, "third-state decay", rel <= 0.05,
@@ -198,8 +203,8 @@ def test_criterion_08_rate_bookkeeping():
             rho0 = np.zeros((3, 3), dtype=complex)
             rho0[i, i] = rho0[j, j] = 0.5
             rho0[i, j] = rho0[j, i] = 0.25
-            traj = propagate_bare(config, rates, schedule, rho0, settings,
-                                  samples=101)
+            traj = propagate(config, rates, schedule, rho0, settings,
+                             samples=101)
             slope = np.polyfit(traj.times,
                                np.log(np.abs(traj.rho[:, i, j])), 1)[0]
             rel = abs(-slope / target - 1.0)
@@ -222,11 +227,12 @@ def test_criterion_09_shaped_detuning_suppression():
     grid = np.linspace(0.0, 1.0, 2001)
     mean_delta = float(np.trapezoid(s_shaped.delta(grid)[0], grid))
     s_const = make_stirap_schedule(PEAK, mean_delta, 1.0, "static")
-    settings = PropagatorSettings(rel_tol=1e-10, abs_tol=1e-12)
+    settings = PropagatorSettings(rel_tol=1e-10, abs_tol=1e-12,
+                                  basis="adiabatic")
     r32 = {}
     for tag, schedule in (("shaped", s_shaped), ("const", s_const)):
-        traj = propagate_adiabatic(Configuration.LAMBDA, rates, schedule,
-                                   SIG22, settings, samples=101)
+        traj = propagate(Configuration.LAMBDA, rates, schedule,
+                         SIG22, settings, samples=101)
         r32[tag] = float(abs(traj.R[-1, 2, 1]))
     ok = r32["shaped"] <= 0.5 * r32["const"]
     assert report(9, "shaped-detuning suppression", ok,

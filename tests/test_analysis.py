@@ -8,14 +8,15 @@ from threelevel.analysis import (compare_analytic_numeric, hadamard_fidelity,
                                  purity, quadrature_solution,
                                  stability_report)
 from threelevel.dissipation import Configuration, RateSet, derived_rates
-from threelevel.evolution import (PropagatorSettings, propagate_adiabatic,
-                                  propagate_bare)
+from threelevel.evolution import PropagatorSettings, propagate
 from threelevel.pulses import (ConstantPulse, DetuningSchedule, PulseSchedule,
                                make_stirap_schedule, theta_law_schedule)
 
 SIG11 = np.diag([1.0, 0.0, 0.0]).astype(complex)
 SIG22 = np.diag([0.0, 1.0, 0.0]).astype(complex)
 TIGHT = PropagatorSettings(rel_tol=1e-10, abs_tol=1e-12)
+TIGHT_DRESSED = PropagatorSettings(rel_tol=1e-10, abs_tol=1e-12,
+                                   basis="adiabatic")
 
 FIG2_RATES = {0.005: RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.01),
               0.05: RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.1)}
@@ -38,8 +39,8 @@ class TestAdiabaticPopulations:
         s = make_stirap_schedule(80.0, 600.0, 1.0, "static")
         u = frame(s, 0.0).U
         rho0 = np.outer(u[:, 1], u[:, 1].conj())
-        traj = propagate_bare(Configuration.LAMBDA, RateSet(), s, rho0,
-                              TIGHT, samples=11)
+        traj = propagate(Configuration.LAMBDA, RateSet(), s, rho0,
+                         TIGHT, samples=11)
         np.testing.assert_allclose(traj.pops_adiabatic[0], [0.0, 1.0, 0.0],
                                    atol=1e-10)
 
@@ -48,16 +49,16 @@ class TestAdiabaticPopulations:
                           DetuningSchedule("constant", 40.0), 1.0, "static",
                           1e-12)
         rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        traj = propagate_bare(Configuration.LAMBDA, RateSet(), s, rho0,
-                              TIGHT, samples=11)
+        traj = propagate(Configuration.LAMBDA, RateSet(), s, rho0,
+                         TIGHT, samples=11)
         np.testing.assert_allclose(traj.pops_adiabatic,
                                    traj.pops_bare, atol=1e-9)
 
     def test_populations_sum_to_one(self):
         rates = FIG2_RATES[0.005]
         s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
-        traj = propagate_bare(Configuration.LAMBDA, rates, s, SIG11,
-                              samples=101)
+        traj = propagate(Configuration.LAMBDA, rates, s, SIG11,
+                         samples=101)
         sums = traj.pops_adiabatic.sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-8)
 
@@ -68,8 +69,8 @@ class TestAdiabaticPopulations:
         der = derived_rates(Configuration.LAMBDA, rates)
         s = theta_law_schedule(np.pi / 8, der.gamma_c, 0.5,
                                math.hypot(100.0, 100.0), 1.0, delta=1000.0)
-        traj = propagate_adiabatic(Configuration.LAMBDA, rates, s, SIG11,
-                                   TIGHT, samples=101)
+        traj = propagate(Configuration.LAMBDA, rates, s, SIG11,
+                         TIGHT_DRESSED, samples=101)
         assert traj.pops_adiabatic[:, 0].min() > 0.95
 
 
@@ -167,8 +168,8 @@ class TestOscillatoryQuadratures:
         for which in ("dark_R21", "dark_R31"):
             est = quadrature_solution(which, s, der, grid)
             assert np.max(np.abs(est.values)) < 1e-18
-        traj = propagate_adiabatic(Configuration.LAMBDA, rates, s, SIG11,
-                                   TIGHT, samples=201)
+        traj = propagate(Configuration.LAMBDA, rates, s, SIG11,
+                         TIGHT_DRESSED, samples=201)
         assert np.max(np.abs(traj.R[:, 1, 0])) < 1e-8
         assert np.max(np.abs(traj.R[:, 2, 0])) < 1e-8
 
@@ -178,8 +179,8 @@ class TestOscillatoryQuadratures:
         rates = FIG2_RATES[0.005]
         der = derived_rates(Configuration.LAMBDA, rates)
         s = make_stirap_schedule(100.0, 1000.0, 0.1, "static")
-        traj = propagate_adiabatic(Configuration.LAMBDA, rates, s, SIG22,
-                                   TIGHT, samples=401)
+        traj = propagate(Configuration.LAMBDA, rates, s, SIG22,
+                         TIGHT_DRESSED, samples=401)
         dev = compare_analytic_numeric("b_R32", traj, s, der)
         grid = np.linspace(0.0, 0.1, 8001)
         scale = np.max(np.abs(quadrature_solution("b_R32", s, der,
@@ -197,8 +198,8 @@ class TestOscillatoryQuadratures:
         grid = np.linspace(0.0, 1.0, 8001)
         est = quadrature_solution("dark_R21", s, der, grid)
         assert np.max(np.abs(est.values)) < 1e-18
-        traj = propagate_adiabatic(Configuration.LAMBDA, rates, s, SIG11,
-                                   TIGHT, samples=201)
+        traj = propagate(Configuration.LAMBDA, rates, s, SIG11,
+                         TIGHT_DRESSED, samples=201)
         assert np.max(np.abs(traj.R[:, 1, 0])) < 1e-3
 
 
@@ -208,8 +209,8 @@ class TestCompareAnalyticNumeric:
         rates = RateSet(gamma1=0.5, gamma2=0.5)
         der = derived_rates(Configuration.LAMBDA, rates)
         s = make_stirap_schedule(100.0, 1000.0, 1.0, "static")
-        traj = propagate_adiabatic(Configuration.LAMBDA, RateSet(), s, SIG11,
-                                   TIGHT, samples=201)
+        traj = propagate(Configuration.LAMBDA, RateSet(), s, SIG11,
+                         TIGHT_DRESSED, samples=201)
         assert compare_analytic_numeric("dark_R11", traj, s, der) < 1e-6
 
     def test_dark_state_slow_sweep(self):
@@ -219,8 +220,8 @@ class TestCompareAnalyticNumeric:
         der = derived_rates(Configuration.LAMBDA, rates)
         s = theta_law_schedule(np.pi / 8, der.gamma_c, 0.5,
                                math.hypot(100.0, 100.0), 1.0, delta=1000.0)
-        traj = propagate_adiabatic(Configuration.LAMBDA, rates, s, SIG11,
-                                   TIGHT, samples=401)
+        traj = propagate(Configuration.LAMBDA, rates, s, SIG11,
+                         TIGHT_DRESSED, samples=401)
         assert compare_analytic_numeric("dark_R11", traj, s, der) < 0.01
 
     def test_bright_state_large_detuning(self):
@@ -229,8 +230,8 @@ class TestCompareAnalyticNumeric:
         der = derived_rates(Configuration.LAMBDA, rates)
         s = theta_law_schedule(np.pi / 8, der.gamma_c, 0.5,
                                math.hypot(100.0, 100.0), 1.0, delta=1500.0)
-        traj = propagate_adiabatic(Configuration.LAMBDA, rates, s, SIG22,
-                                   TIGHT, samples=401)
+        traj = propagate(Configuration.LAMBDA, rates, s, SIG22,
+                         TIGHT_DRESSED, samples=401)
         assert compare_analytic_numeric("b_R22", traj, s, der) < 0.02
 
 
@@ -240,13 +241,14 @@ class TestMirrorSymmetry:
         are exact mirrors for the coherent dynamics, so the final deficits
         agree far better than either deficit's own size."""
         rates = FIG2_RATES[0.005]
-        settings = PropagatorSettings(rel_tol=1e-9, abs_tol=1e-11)
+        settings = PropagatorSettings(rel_tol=1e-9, abs_tol=1e-11,
+                                      basis="adiabatic")
         ci = make_stirap_schedule(100.0, 5000.0, 1.0, "counterintuitive")
         it = make_stirap_schedule(100.0, 5000.0, 1.0, "intuitive")
-        dark = propagate_adiabatic(Configuration.LAMBDA, rates, ci, SIG11,
-                                   settings, samples=101)
-        bright = propagate_adiabatic(Configuration.LAMBDA, rates, it, SIG22,
-                                     settings, samples=101)
+        dark = propagate(Configuration.LAMBDA, rates, ci, SIG11,
+                         settings, samples=101)
+        bright = propagate(Configuration.LAMBDA, rates, it, SIG22,
+                           settings, samples=101)
         d1 = 1.0 - dark.R[-1, 0, 0].real
         d2 = 1.0 - bright.R[-1, 1, 1].real
         assert abs(d1 - d2) < 1e-3
@@ -267,8 +269,9 @@ class TestShapedDetuningSuppression:
         mean_delta = np.trapezoid(s_shaped.delta(grid)[0], grid)
         s_const = make_stirap_schedule(100.0, float(mean_delta), 1.0,
                                        "static")
-        run = lambda sched: propagate_adiabatic(
-            Configuration.LAMBDA, rates, sched, SIG22, TIGHT, samples=101)
+        run = lambda sched: propagate(
+            Configuration.LAMBDA, rates, sched, SIG22, TIGHT_DRESSED,
+            samples=101)
         r32_shaped = abs(run(s_shaped).R[-1, 2, 1])
         r32_const = abs(run(s_const).R[-1, 2, 1])
         assert r32_shaped <= 0.5 * r32_const
@@ -282,16 +285,16 @@ class TestBrightStateStability:
         for gc_T in (0.005, 0.01, 0.05):
             rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=2 * gc_T)
             s = make_stirap_schedule(100.0, 1000.0, 1.0, "intuitive")
-            traj = propagate_bare(Configuration.LAMBDA, rates, s, SIG11,
-                                  PropagatorSettings(), samples=101)
+            traj = propagate(Configuration.LAMBDA, rates, s, SIG11,
+                             PropagatorSettings(), samples=101)
             finals.append(traj.pops_bare[-1, 1])
         assert finals[0] >= finals[1] >= finals[2]
 
     def test_transfer_purity_stays_high(self):
         rates = FIG2_RATES[0.005]
         s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
-        traj = propagate_bare(Configuration.LAMBDA, rates, s, SIG11,
-                              PropagatorSettings(), samples=201)
+        traj = propagate(Configuration.LAMBDA, rates, s, SIG11,
+                         PropagatorSettings(), samples=201)
         assert traj.purity.min() > 0.9
         assert traj.purity[-1] > 0.9
 
@@ -306,8 +309,8 @@ class TestConfigurationHierarchy:
         s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
         finals = {}
         for config in Configuration:
-            traj = propagate_bare(config, rates, s, SIG11,
-                                  PropagatorSettings(), samples=101)
+            traj = propagate(config, rates, s, SIG11,
+                             PropagatorSettings(), samples=101)
             finals[config] = float(traj.pops_bare[-1, 1])
         gcs = {c: derived_rates(c, rates).gamma_c for c in Configuration}
         assert gcs[Configuration.LAMBDA] < gcs[Configuration.XI] \
@@ -361,8 +364,8 @@ class TestHadamardFidelity:
         s = make_stirap_schedule(100.0, 1000.0, horizon, "static")
         psi = np.array([1.0, state_sign, 0.0]) / math.sqrt(2.0)
         rho0 = np.outer(psi, psi.conj())
-        return propagate_bare(Configuration.LAMBDA, rates, s, rho0,
-                              PropagatorSettings(), samples=401)
+        return propagate(Configuration.LAMBDA, rates, s, rho0,
+                         PropagatorSettings(), samples=401)
 
     def test_closed_hold_is_exact(self):
         traj = self.hold_trajectory(RateSet(), -1.0)
@@ -390,7 +393,7 @@ class TestHadamardFidelity:
     def test_requires_equal_static_drives(self):
         rates = FIG2_RATES[0.005]
         s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
-        traj = propagate_bare(Configuration.LAMBDA, rates, s, SIG11,
-                              PropagatorSettings(), samples=51)
+        traj = propagate(Configuration.LAMBDA, rates, s, SIG11,
+                         PropagatorSettings(), samples=51)
         with pytest.raises(ValueError):
             hadamard_fidelity(traj, "lambda1")

@@ -15,6 +15,7 @@ from threelevel.cli import (BUILTINS, ConfigError, ScenarioConfig,
                             run_scenario, run_sweep, run_trajectory,
                             summarize)
 from threelevel.dissipation import Configuration, derived_rates
+from threelevel.evolution import PropagatorSettings
 
 
 class TestConfigParsing:
@@ -126,7 +127,8 @@ class TestEmitTable:
     def make_record(self, tmp_path, samples=40):
         cfg = load_config("stirap_fig2")
         cfg = ScenarioConfig(**{**cfg.__dict__, "samples": samples,
-                                "rel_tol": 1e-7, "abs_tol": 1e-9})
+                                "settings": PropagatorSettings(
+                                    rel_tol=1e-7, abs_tol=1e-9)})
         return cfg, run_scenario(cfg, str(tmp_path))
 
     def test_header_and_row_count(self, tmp_path):
@@ -182,10 +184,9 @@ class TestEmitTable:
 
     def test_io_error_carries_path(self, tmp_path):
         cfg = load_config("stirap_fig2")
-        traj = run_trajectory(ScenarioConfig(**{**cfg.__dict__,
-                                                "samples": 5,
-                                                "rel_tol": 1e-6,
-                                                "abs_tol": 1e-8}))
+        traj = run_trajectory(ScenarioConfig(**{
+            **cfg.__dict__, "samples": 5,
+            "settings": PropagatorSettings(rel_tol=1e-6, abs_tol=1e-8)}))
         missing = os.path.join(str(tmp_path), "no", "such", "dir", "t.csv")
         with pytest.raises(OSError) as err:
             emit_table(traj, missing)
@@ -218,7 +219,8 @@ class TestRunScenario:
     def test_determinism_bitwise(self, tmp_path):
         cfg = load_config("stirap_fig2")
         cfg = ScenarioConfig(**{**cfg.__dict__, "samples": 60,
-                                "rel_tol": 1e-7, "abs_tol": 1e-9})
+                                "settings": PropagatorSettings(
+                                    rel_tol=1e-7, abs_tol=1e-9)})
         a = run_scenario(cfg, str(tmp_path / "a"))
         b = run_scenario(cfg, str(tmp_path / "b"))
         with open(a.table_path, "rb") as fh:
@@ -356,6 +358,15 @@ class TestPropagatorPaths:
                                      "propagator.n_slices = 2000")
         assert abs(bare - oracle) < 1e-4
 
+    def test_dressed_expm_oracle_route(self):
+        """The oracle honours the dressed basis and lands on the bare
+        oracle's answer."""
+        oracle = self.final_transfer("propagator.method = expm_oracle")
+        dressed = self.final_transfer("propagator.method = expm_oracle\n"
+                                      "propagator.basis = adiabatic")
+        assert dressed != oracle
+        assert abs(dressed - oracle) < 1e-8
+
     def test_shaped_detuning_route(self, tmp_path):
         text = """
         scenario = shaped_route
@@ -414,14 +425,19 @@ class TestMainEntry:
         "propagator.method = expm_oracle\npropagator.n_slices = 10",
         "detuning.kind = shaped\ndetuning.gamma1 = -1",
         "pulses.width = -1",
+        "propagator.basis = dressed",
+        "--tol 1e-15",
     ])
     def test_unhonourable_config_exits_2(self, tmp_path, capsys, lines):
         """Configs the propagator or the schedule would reject are config
-        errors for both validate and run, and no table is written."""
+        errors for both validate and run, and no table is written.  A case
+        that starts with -- is a command-line flag on an empty config."""
+        flags = lines.split() if lines.startswith("--") else []
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(lines + "\n", encoding="utf-8")
+        cfg.write_text("" if flags else lines + "\n", encoding="utf-8")
         for verb in ("validate", "run"):
-            assert main(["--out-dir", str(tmp_path), verb, str(cfg)]) == 2
+            assert main(["--out-dir", str(tmp_path), *flags, verb,
+                         str(cfg)]) == 2
         assert not list(tmp_path.glob("*.csv"))
 
     def test_sweep_config_errors_exit_2(self, tmp_path, capsys):
@@ -475,6 +491,14 @@ class TestMainEntry:
         for argv in lines:
             args = _build_parser().parse_args(argv[1:])
             assert args.command == argv[-1] or args.config == argv[-1]
+
+    def test_readme_quickstart_runs(self, capsys):
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        block = readme.read_text(encoding="utf-8").split(
+            "## Library quickstart")[1].split("```python")[1].split("```")[0]
+        namespace = {}
+        exec(compile(block, "<README quickstart>", "exec"), namespace)
+        assert namespace["traj"].pops_bare[-1, 1] > 0.9
 
     def test_import_leaves_scipy_submodules_unloaded(self, tmp_path):
         """scipy.integrate loads on first use, not with the command-line

@@ -4,7 +4,7 @@ import pytest
 from threelevel.adiabatic import frame
 from threelevel.dissipation import (Configuration, DerivedRates, RateSet,
                                     derived_rates, dissipator, lindblad_ops)
-from threelevel.evolution import PropagatorSettings, propagate_bare
+from threelevel.evolution import PropagatorSettings, propagate
 from threelevel.matops import ketbra
 from threelevel.pulses import (ConstantPulse, DetuningSchedule, PulseSchedule,
                                make_stirap_schedule)
@@ -170,9 +170,9 @@ class TestRateFits:
         rho0 = np.zeros((3, 3), dtype=complex)
         rho0[i, i] = rho0[j, j] = 0.5
         rho0[i, j] = rho0[j, i] = 0.25
-        traj = propagate_bare(config, rates, drives_off_schedule(horizon),
-                              rho0, self.settings, samples=101,
-                              xi_appendix_verbatim=xi_appendix_verbatim)
+        traj = propagate(config, rates, drives_off_schedule(horizon),
+                         rho0, self.settings, samples=101,
+                         xi_appendix_verbatim=xi_appendix_verbatim)
         coherence = np.abs(traj.rho[:, i, j])
         slope = np.polyfit(traj.times, np.log(coherence), 1)[0]
         return -slope
@@ -207,13 +207,13 @@ class TestDarkStateImmunity:
     def test_population_frozen_without_ground_dephasing(self):
         """Static drive, gamma_c = 0: the dark-state population stays 1 to
         integrator precision out to gamma_sp * t = 10."""
-        from threelevel.evolution import propagate_adiabatic
         rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.0)
         horizon = 10.0  # gamma_sp = 1, so gamma_sp * t reaches 10
         s = make_stirap_schedule(100.0, 1000.0, horizon, "static")
         big_r0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        traj = propagate_adiabatic(Configuration.LAMBDA, rates, s, big_r0,
-                                   PropagatorSettings(rel_tol=1e-10,
-                                                      abs_tol=1e-12),
-                                   samples=101)
+        traj = propagate(Configuration.LAMBDA, rates, s, big_r0,
+                         PropagatorSettings(rel_tol=1e-10,
+                                            abs_tol=1e-12,
+                                            basis="adiabatic"),
+                         samples=101)
         assert np.max(np.abs(traj.R[:, 0, 0].real - 1.0)) < 1e-8

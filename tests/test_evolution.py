@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,8 @@ from threelevel.dissipation import (Configuration, RateSet, derived_rates,
                                     lindblad_ops)
 from threelevel import evolution
 from threelevel.evolution import (PropagationError, PropagatorSettings,
-                                  closed_system_solution, pack,
-                                  propagate_adiabatic, propagate_bare,
-                                  propagate_expm_oracle, real_superop,
-                                  unpack, unpack_many)
+                                  closed_system_solution, pack, propagate,
+                                  real_superop, unpack)
 from threelevel.matops import ketbra
 from threelevel.pulses import (ConstantPulse, DetuningSchedule, PulseSchedule,
                                make_stirap_schedule)
@@ -22,6 +21,11 @@ from threelevel.pulses import (ConstantPulse, DetuningSchedule, PulseSchedule,
 SIG11 = np.diag([1.0, 0.0, 0.0]).astype(complex)
 SIG33 = np.diag([0.0, 0.0, 1.0]).astype(complex)
 TIGHT = PropagatorSettings(rel_tol=1e-10, abs_tol=1e-12)
+
+
+def oracle(n_slices, basis="bare"):
+    return PropagatorSettings(method="expm_oracle", n_slices=n_slices,
+                              basis=basis)
 
 
 def static_schedule(omega_p, omega_c, delta, horizon=1.0):
@@ -50,10 +54,10 @@ class TestRealRepresentation:
         rho = unpack(r)
         np.testing.assert_array_equal(rho, rho.conj().T)
 
-    def test_unpack_many(self):
+    def test_unpack_batch(self):
         rng = np.random.default_rng(67)
         rs = rng.normal(size=(5, 9))
-        batch = unpack_many(rs)
+        batch = unpack(rs)
         for k in range(5):
             np.testing.assert_array_equal(batch[k], unpack(rs[k]))
 
@@ -70,19 +74,19 @@ class TestInitialValidation:
     def test_rejects_non_hermitian(self):
         bad = SIG11 + 0.1 * ketbra(1, 2)
         with pytest.raises(ValueError):
-            propagate_bare(Configuration.LAMBDA, RateSet(),
-                           static_schedule(1.0, 1.0, 0.0), bad)
+            propagate(Configuration.LAMBDA, RateSet(),
+                      static_schedule(1.0, 1.0, 0.0), bad)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError):
-            propagate_bare(Configuration.LAMBDA, RateSet(),
-                           static_schedule(1.0, 1.0, 0.0), 2.0 * SIG11)
+            propagate(Configuration.LAMBDA, RateSet(),
+                      static_schedule(1.0, 1.0, 0.0), 2.0 * SIG11)
 
     def test_rejects_negative_state(self):
         bad = np.diag([1.2, -0.2, 0.0]).astype(complex)
         with pytest.raises(ValueError):
-            propagate_bare(Configuration.LAMBDA, RateSet(),
-                           static_schedule(1.0, 1.0, 0.0), bad)
+            propagate(Configuration.LAMBDA, RateSet(),
+                      static_schedule(1.0, 1.0, 0.0), bad)
 
 
 class TestBarePropagation:
@@ -91,8 +95,8 @@ class TestBarePropagation:
         s = static_schedule(40.0, 30.0, 200.0)
         rng = np.random.default_rng(73)
         rho0 = random_density(rng)
-        traj = propagate_bare(Configuration.LAMBDA, RateSet(), s, rho0,
-                              TIGHT, samples=41)
+        traj = propagate(Configuration.LAMBDA, RateSet(), s, rho0,
+                         TIGHT, samples=41)
         h = 40.0 * (ketbra(1, 3) + ketbra(3, 1)) \
             + 30.0 * (ketbra(2, 3) + ketbra(3, 2)) + 200.0 * ketbra(3, 3)
         for k in (10, 25, 40):
@@ -103,8 +107,8 @@ class TestBarePropagation:
     def test_ground_state_stationary(self):
         rates = RateSet(gamma1=0.5, gamma2=0.5, gamma3_deph=0.3)
         s = static_schedule(0.0, 0.0, 0.0)
-        traj = propagate_bare(Configuration.LAMBDA, rates, s, SIG11, TIGHT,
-                              samples=21)
+        traj = propagate(Configuration.LAMBDA, rates, s, SIG11, TIGHT,
+                         samples=21)
         np.testing.assert_allclose(traj.rho, np.broadcast_to(SIG11,
                                    (21, 3, 3)), atol=1e-12)
 
@@ -112,28 +116,28 @@ class TestBarePropagation:
         """Scalar ODE solution rho33 = exp(-gamma_sp t) as the oracle."""
         rates = RateSet(gamma1=0.6, gamma2=0.6)
         s = static_schedule(0.0, 0.0, 0.0, horizon=2.0)
-        traj = propagate_bare(Configuration.LAMBDA, rates, s, SIG33, TIGHT,
-                              samples=51)
+        traj = propagate(Configuration.LAMBDA, rates, s, SIG33, TIGHT,
+                         samples=51)
         np.testing.assert_allclose(traj.rho[:, 2, 2].real,
                                    np.exp(-1.2 * traj.times), atol=1e-9)
 
     def test_adaptive_meets_tolerance_against_reference(self):
         s = make_stirap_schedule(50.0, 300.0, 1.0, "counterintuitive")
         rates = RateSet(gamma1=0.3, gamma2=0.3, gamma2_deph=0.02)
-        loose = propagate_bare(Configuration.LAMBDA, rates, s, SIG11,
-                               PropagatorSettings(rel_tol=1e-6,
-                                                  abs_tol=1e-9), samples=51)
-        tight = propagate_bare(Configuration.LAMBDA, rates, s, SIG11,
-                               PropagatorSettings(rel_tol=1e-11,
-                                                  abs_tol=1e-13), samples=51)
+        loose = propagate(Configuration.LAMBDA, rates, s, SIG11,
+                          PropagatorSettings(rel_tol=1e-6,
+                                             abs_tol=1e-9), samples=51)
+        tight = propagate(Configuration.LAMBDA, rates, s, SIG11,
+                          PropagatorSettings(rel_tol=1e-11,
+                                             abs_tol=1e-13), samples=51)
         assert np.max(np.abs(loose.rho - tight.rho)) < 1e-4
 
 
 class TestAdiabaticPropagation:
     def test_static_dressed_state_is_stationary(self):
         s = static_schedule(80.0, 50.0, 600.0)
-        traj = propagate_adiabatic(Configuration.LAMBDA, RateSet(), s,
-                                   SIG11, TIGHT, samples=21)
+        traj = propagate(Configuration.LAMBDA, RateSet(), s, SIG11,
+                         replace(TIGHT, basis="adiabatic"), samples=21)
         np.testing.assert_allclose(traj.R[:, 0, 0].real, 1.0, atol=1e-10)
 
     def test_static_free_phases(self):
@@ -141,8 +145,8 @@ class TestAdiabaticPropagation:
         s = static_schedule(30.0, 40.0, 100.0, horizon=0.5)
         rng = np.random.default_rng(79)
         big_r0 = random_density(rng)
-        traj = propagate_adiabatic(Configuration.LAMBDA, RateSet(), s,
-                                   big_r0, TIGHT, samples=26)
+        traj = propagate(Configuration.LAMBDA, RateSet(), s, big_r0,
+                         replace(TIGHT, basis="adiabatic"), samples=26)
         fr = frame(s, 0.0)
         exact = closed_system_solution(fr, big_r0, traj.times)
         np.testing.assert_allclose(traj.R, exact, atol=1e-8)
@@ -153,12 +157,12 @@ class TestAdiabaticPropagation:
         rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.01)
         s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
         settings = PropagatorSettings(rel_tol=1e-9, abs_tol=1e-11)
-        bare = propagate_bare(Configuration.LAMBDA, rates, s, SIG11,
-                              settings, samples=201)
+        bare = propagate(Configuration.LAMBDA, rates, s, SIG11,
+                         settings, samples=201)
         u0 = frame(s, 0.0).U
         big_r0 = u0.conj().T @ SIG11 @ u0
-        adia = propagate_adiabatic(Configuration.LAMBDA, rates, s, big_r0,
-                                   settings, samples=201)
+        adia = propagate(Configuration.LAMBDA, rates, s, big_r0,
+                         replace(settings, basis="adiabatic"), samples=201)
         diff = np.linalg.norm(adia.rho - bare.rho, axis=(1, 2))
         assert np.max(diff) < 1e-6
 
@@ -173,12 +177,12 @@ class TestAdiabaticPropagation:
         s = make_stirap_schedule(100.0, 0.0, 1.0, "counterintuitive",
                                  detuning=shaped)
         settings = PropagatorSettings(rel_tol=1e-9, abs_tol=1e-11)
-        bare = propagate_bare(Configuration.LAMBDA, rates, s, SIG11,
-                              settings, samples=101)
+        bare = propagate(Configuration.LAMBDA, rates, s, SIG11,
+                         settings, samples=101)
         u0 = frame(s, 0.0).U
         big_r0 = u0.conj().T @ SIG11 @ u0
-        adia = propagate_adiabatic(Configuration.LAMBDA, rates, s, big_r0,
-                                   settings, samples=101)
+        adia = propagate(Configuration.LAMBDA, rates, s, big_r0,
+                         replace(settings, basis="adiabatic"), samples=101)
         assert np.max(np.abs(adia.rho - bare.rho)) < 1e-6
 
     def test_basis_equivalence_theta_law(self):
@@ -186,20 +190,27 @@ class TestAdiabaticPropagation:
         rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.2)
         s = theta_law_schedule(np.pi / 8, 0.1, 0.5, 120.0, 1.0, delta=800.0)
         settings = PropagatorSettings(rel_tol=1e-9, abs_tol=1e-11)
-        bare = propagate_bare(Configuration.LAMBDA, rates, s, SIG11,
-                              settings, samples=101)
+        bare = propagate(Configuration.LAMBDA, rates, s, SIG11,
+                         settings, samples=101)
         u0 = frame(s, 0.0).U
         big_r0 = u0.conj().T @ SIG11 @ u0
-        adia = propagate_adiabatic(Configuration.LAMBDA, rates, s, big_r0,
-                                   settings, samples=101)
+        adia = propagate(Configuration.LAMBDA, rates, s, big_r0,
+                         replace(settings, basis="adiabatic"), samples=101)
         assert np.max(np.abs(adia.rho - bare.rho)) < 1e-6
 
-    def test_expm_method_rejected(self):
-        with pytest.raises(ValueError):
-            propagate_adiabatic(
-                Configuration.LAMBDA, RateSet(),
-                static_schedule(1.0, 1.0, 0.0), SIG11,
-                PropagatorSettings(method="expm_oracle"))
+    @pytest.mark.parametrize("config", list(Configuration))
+    @pytest.mark.parametrize("ordering", ["counterintuitive", "intuitive"])
+    def test_dressed_oracle_matches_bare_oracle(self, config, ordering):
+        """The oracle in the dressed basis against the oracle in the bare
+        basis, at the same slice boundaries."""
+        rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.01)
+        s = make_stirap_schedule(100.0, 1000.0, 1.0, ordering)
+        bare = propagate(config, rates, s, SIG11, oracle(4000), samples=201)
+        u0 = frame(s, 0.0).U
+        dressed = propagate(config, rates, s, u0.conj().T @ SIG11 @ u0,
+                            oracle(4000, "adiabatic"), samples=201)
+        np.testing.assert_array_equal(dressed.times, bare.times)
+        assert np.max(np.abs(dressed.rho - bare.rho)) < 1e-8
 
 
 class TestExpmOracle:
@@ -207,10 +218,10 @@ class TestExpmOracle:
         """The Magnus step is exact when the generator is constant."""
         s = static_schedule(20.0, 30.0, 50.0)
         rates = RateSet(gamma1=0.4, gamma2=0.2, gamma2_deph=0.05)
-        coarse = propagate_expm_oracle(Configuration.LAMBDA, rates, s, SIG11,
-                                       4, samples=5)
-        fine = propagate_expm_oracle(Configuration.LAMBDA, rates, s, SIG11,
-                                     256, samples=5)
+        coarse = propagate(Configuration.LAMBDA, rates, s, SIG11, oracle(4),
+                           samples=5)
+        fine = propagate(Configuration.LAMBDA, rates, s, SIG11, oracle(256),
+                         samples=5)
         np.testing.assert_allclose(coarse.rho, fine.rho, atol=1e-12)
 
     def test_second_order_self_convergence(self):
@@ -219,13 +230,13 @@ class TestExpmOracle:
         four) fails the window."""
         s = make_stirap_schedule(60.0, 400.0, 1.0, "counterintuitive")
         rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.01)
-        ref = propagate_bare(Configuration.LAMBDA, rates, s, SIG11,
-                             PropagatorSettings(rel_tol=1e-11,
-                                                abs_tol=1e-13), samples=101)
+        ref = propagate(Configuration.LAMBDA, rates, s, SIG11,
+                        PropagatorSettings(rel_tol=1e-11,
+                                           abs_tol=1e-13), samples=101)
         errs = []
         for n in (500, 1000, 2000):
-            tr = propagate_expm_oracle(Configuration.LAMBDA, rates, s, SIG11,
-                                       n, samples=101)
+            tr = propagate(Configuration.LAMBDA, rates, s, SIG11, oracle(n),
+                           samples=101)
             errs.append(np.max(np.abs(tr.rho - ref.rho)))
         for a, b in zip(errs, errs[1:]):
             assert 10.0 < a / b < 26.0
@@ -234,30 +245,32 @@ class TestExpmOracle:
         """Cross-method agreement at fine slicing on the full protocol."""
         rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.01)
         s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
-        rk = propagate_bare(Configuration.LAMBDA, rates, s, SIG11,
-                            PropagatorSettings(rel_tol=1e-10, abs_tol=1e-12),
-                            samples=501)
-        oracle = propagate_expm_oracle(Configuration.LAMBDA, rates, s, SIG11,
-                                       8000, samples=501)
-        assert np.max(np.abs(rk.rho - oracle.rho)) < 3e-7
+        rk = propagate(Configuration.LAMBDA, rates, s, SIG11,
+                       PropagatorSettings(rel_tol=1e-10, abs_tol=1e-12),
+                       samples=501)
+        magnus = propagate(Configuration.LAMBDA, rates, s, SIG11,
+                           oracle(8000), samples=501)
+        assert np.max(np.abs(rk.rho - magnus.rho)) < 3e-7
 
     def test_independent_of_rk(self, monkeypatch):
-        """The oracle never reaches the Runge-Kutta code it cross-checks."""
+        """The oracle never reaches the Runge-Kutta code it cross-checks,
+        in either basis."""
         def forbidden(*args, **kwargs):
             raise AssertionError("oracle called Runge-Kutta code")
 
         monkeypatch.setattr(evolution, "_dop853", forbidden)
         s = make_stirap_schedule(60.0, 400.0, 1.0, "counterintuitive")
         rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.01)
-        tr = propagate_expm_oracle(Configuration.LAMBDA, rates, s, SIG11,
-                                   200, samples=11)
-        assert tr.rho.shape == (11, 3, 3)
+        for basis in evolution.BASES:
+            tr = propagate(Configuration.LAMBDA, rates, s, SIG11,
+                           oracle(200, basis), samples=11)
+            assert tr.rho.shape == (11, 3, 3)
 
     def test_sample_bound(self):
         s = static_schedule(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            propagate_expm_oracle(Configuration.LAMBDA, RateSet(), s, SIG11,
-                                  4, samples=10)
+            propagate(Configuration.LAMBDA, RateSet(), s, SIG11, oracle(4),
+                      samples=10)
 
     def test_liouvillian_matches_superop_action(self):
         """The real blocks the oracle exponentiates agree with the complex
@@ -500,7 +513,7 @@ class TestTrajectoryInvariants:
                           1e-9)
         rng = np.random.default_rng(101)
         rho0 = random_density(rng)
-        traj = propagate_bare(config, rates, s, rho0, TIGHT, samples=101)
+        traj = propagate(config, rates, s, rho0, TIGHT, samples=101)
         assert np.all(np.diff(traj.purity) < 1e-10)
 
     def test_decay_repurification_counterexample(self):
@@ -510,8 +523,8 @@ class TestTrajectoryInvariants:
         s = PulseSchedule(ConstantPulse(0.0), ConstantPulse(0.0),
                           DetuningSchedule("constant", 0.0), 6.0, "static",
                           1e-9)
-        traj = propagate_bare(Configuration.LAMBDA, rates, s, SIG33, TIGHT,
-                              samples=121)
+        traj = propagate(Configuration.LAMBDA, rates, s, SIG33, TIGHT,
+                         samples=121)
         x = np.exp(-traj.times)
         expected = 0.5 * (1 - x) ** 2 + x ** 2
         np.testing.assert_allclose(traj.purity, expected, atol=1e-9)
@@ -521,8 +534,8 @@ class TestTrajectoryInvariants:
     def test_invariant_fields_within_bounds(self):
         rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.01)
         s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
-        traj = propagate_bare(Configuration.LAMBDA, rates, s, SIG11,
-                              samples=201)
+        traj = propagate(Configuration.LAMBDA, rates, s, SIG11,
+                         samples=201)
         assert traj.trace_err_max < 1e-8
         assert traj.hermiticity_err_max < 1e-10
         assert traj.min_eigenvalue > -1e-8
@@ -537,3 +550,5 @@ class TestTrajectoryInvariants:
             PropagatorSettings(rel_tol=1e-15)
         with pytest.raises(ValueError):
             PropagatorSettings(method="verlet")
+        with pytest.raises(ValueError):
+            PropagatorSettings(basis="dressed")
