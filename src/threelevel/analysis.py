@@ -16,13 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adiabatic import frame
-from .dissipation import DerivedRates, derived_rates as _derived_rates
+from .dissipation import DerivedRates, derived_rates
 from .evolution import Trajectory
 from .pulses import PulseSchedule
 
 # Order-of-magnitude reading of the stability inequalities.
 MUCH_LESS = 0.1
 MUCH_GREATER = 10.0
+
+# Fidelity below which a Hadamard-type hold counts as lost.
+HADAMARD_THRESHOLD = 0.99
 
 # Required sampling of the fastest oscillation (lam3 - lam2) in the
 # quadrature integrals: at least this many grid points per period.
@@ -163,7 +166,7 @@ def compare_analytic_numeric(which: str, traj: Trajectory,
     """
     times = traj.times
     dt = times[1] - times[0]
-    lam = frame(schedule, times).lam
+    lam = traj.frame.lam
     fastest = float(np.max(np.abs(lam[:, 2] - lam[:, 1])))
     refine = 1
     if fastest > 0:
@@ -180,18 +183,15 @@ def compare_analytic_numeric(which: str, traj: Trajectory,
     return float(np.max(np.abs(numeric - analytic)))
 
 
-def stability_report(config, rates, schedule: PulseSchedule,
-                     horizon: float = None, derived: DerivedRates = None,
-                     much_less: float = MUCH_LESS,
-                     much_greater: float = MUCH_GREATER) -> StabilityReport:
+def stability_report(config, rates,
+                     schedule: PulseSchedule) -> StabilityReport:
     """Dimensionless stability metrics evaluated at peak total coupling.
 
     Verdicts are None for the detuning-dependent metrics when the detuning
     at the evaluation point is not positive.
     """
-    if derived is None:
-        derived = _derived_rates(config, rates)
-    T = schedule.horizon if horizon is None else horizon
+    derived = derived_rates(config, rates)
+    T = schedule.horizon
     probe = np.linspace(0.0, schedule.horizon, 2001)
     sample = schedule.rabi(probe)
     k = int(np.argmax(sample.omega))
@@ -212,12 +212,12 @@ def stability_report(config, rates, schedule: PulseSchedule,
         g1_over_delta = math.nan
 
     verdicts = {
-        "gc_T_much_less_1": gc_T < much_less,
-        "adiab1_much_greater_1": adiab1 > much_greater,
+        "gc_T_much_less_1": gc_T < MUCH_LESS,
+        "adiab1_much_greater_1": adiab1 > MUCH_GREATER,
         "adiab2_much_greater_1":
-            (adiab2 > much_greater) if delta_peak >= 0.0 else None,
+            (adiab2 > MUCH_GREATER) if delta_peak >= 0.0 else None,
         "gamma1_much_less_delta":
-            (g1_over_delta < much_less) if delta_peak >= 0.0 else None,
+            (g1_over_delta < MUCH_LESS) if delta_peak >= 0.0 else None,
     }
     return StabilityReport(gc_T=gc_T, adiab1=adiab1, adiab2=adiab2,
                            gamma1_over_delta=g1_over_delta,
@@ -226,25 +226,24 @@ def stability_report(config, rates, schedule: PulseSchedule,
                            verdicts=verdicts)
 
 
-def hadamard_fidelity(traj: Trajectory, target: str = "lambda1",
-                      threshold: float = 0.99):
+def hadamard_fidelity(traj: Trajectory, target: str = "lambda1"):
     """Fidelity of rho(t) against (|1> -/+ |2>)/sqrt(2) for a theta = pi/4
-    hold.  Returns (fidelity series, first time the series crosses the
-    threshold downward, or None)."""
+    hold.  Returns (fidelity series, first time the series crosses
+    HADAMARD_THRESHOLD downward, or None)."""
     if target not in ("lambda1", "lambda2"):
         raise ValueError("target must be 'lambda1' or 'lambda2'")
-    if np.max(np.abs(traj.theta - math.pi / 4.0)) > 1e-8:
+    if np.max(np.abs(traj.frame.theta - math.pi / 4.0)) > 1e-8:
         raise ValueError("hadamard_fidelity requires a static theta = pi/4 "
                          "schedule (equal drives)")
     sign = -1.0 if target == "lambda1" else 1.0
     psi = np.array([1.0, sign, 0.0]) / math.sqrt(2.0)
     fid = np.einsum("i,nij,j->n", psi.conj(), traj.rho, psi).real
-    below = np.nonzero(fid < threshold)[0]
+    below = np.nonzero(fid < HADAMARD_THRESHOLD)[0]
     if below.size == 0 or below[0] == 0:
         t_cross = None
     else:
         k = below[0]
         f0, f1 = fid[k - 1], fid[k]
         t0, t1 = traj.times[k - 1], traj.times[k]
-        t_cross = float(t0 + (threshold - f0) / (f1 - f0) * (t1 - t0))
+        t_cross = float(t0 + (HADAMARD_THRESHOLD - f0) / (f1 - f0) * (t1 - t0))
     return fid, t_cross

@@ -16,8 +16,10 @@ Command line:
     threelevel [flags] validate <config-or-builtin>
 
 with flags, given before the subcommand, --out-dir (default from
-THREELEVEL_OUT_DIR or cwd), --workers, --samples, --method, --tol.  Exit
-codes: 0 success, 2 config error, 3 numerical failure.
+THREELEVEL_OUT_DIR or cwd), --workers, and --samples, --method, --tol,
+which are shorthand for config keys (`_flag_keys`), so a config is built
+and checked once.  `run` refuses a config with sweep axes.  Exit codes:
+0 success, 2 config error, 3 numerical failure.
 """
 
 import argparse
@@ -240,8 +242,9 @@ def _validate_config(cfg: ScenarioConfig):
         raise ConfigError(problems)
 
 
-def load_config(source: str) -> ScenarioConfig:
-    """Load a config from a file path or a builtin name."""
+def load_config(source: str, keys: dict = None) -> ScenarioConfig:
+    """Load a config from a file path or a builtin name.  `keys`, a flat
+    key mapping like the parsed text's, replaces the entries it names."""
     if os.path.exists(source) and source in BUILTINS:
         raise ConfigError({"config": f"{source!r} is both a file and a "
                            f"builtin; write './{source}' for the file"})
@@ -253,7 +256,7 @@ def load_config(source: str) -> ScenarioConfig:
     else:
         raise ConfigError({"config": f"{source!r} is neither a file nor a "
                            f"builtin (builtins: {sorted(BUILTINS)})"})
-    return build_config(parse_config_text(text))
+    return build_config({**parse_config_text(text), **(keys or {})})
 
 
 # --- builtin scenarios ------------------------------------------------------
@@ -462,12 +465,12 @@ def emit_table(traj: Trajectory, path: str) -> None:
     The table is written to a temporary file beside `path` and renamed over
     it, so an interrupted write leaves any previous table whole."""
     n = len(traj.times)
+    fr = traj.frame
     data = np.column_stack([
         traj.times,
         np.stack([traj.rho.real, traj.rho.imag], axis=-1).reshape(n, 18),
-        traj.pops_adiabatic, traj.purity, traj.theta, traj.phi,
-        traj.lam[:, 1:], traj.omega_p, traj.omega_c, traj.delta,
-        traj.floor_engaged])
+        traj.pops_adiabatic, traj.purity, fr.theta, fr.phi, fr.lam[:, 1:],
+        fr.omega_p, fr.omega_c, fr.delta, fr.floor_engaged])
     partial = f"{path}.{os.getpid()}.tmp"
     try:
         np.savetxt(partial, data, fmt=["%.17g"] * 30 + ["%d"], delimiter=",",
@@ -509,23 +512,18 @@ def _print_record(record: RunRecord):
     print(f"  stability: {verdicts}")
 
 
-def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    """The config with the command-line flags applied, validated again
-    only when a flag changed it."""
-    given = cfg
+def _flag_keys(args) -> dict:
+    """The config keys that --samples, --method and --tol stand for, as
+    text: --tol X sets the relative tolerance X and the absolute X * 1e-2."""
+    keys = {}
     if args.samples is not None:
-        cfg = replace(cfg, samples=args.samples)
+        keys["output.samples"] = str(args.samples)
     if args.method is not None:
-        cfg = _set_field(cfg, "settings.method", args.method)
+        keys["propagator.method"] = args.method
     if args.tol is not None:
-        try:
-            cfg = replace(cfg, settings=replace(
-                cfg.settings, rel_tol=args.tol, abs_tol=args.tol * 1e-2))
-        except ValueError as exc:
-            raise ConfigError({"--tol": str(exc)}) from exc
-    if cfg != given:
-        _validate_config(cfg)
-    return cfg
+        keys["propagator.rel_tol"] = repr(args.tol)
+        keys["propagator.abs_tol"] = repr(args.tol * 1e-2)
+    return keys
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -540,12 +538,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=1,
                         help="concurrent sweep workers")
     parser.add_argument("--samples", type=int, default=None,
-                        help="override output sample count")
-    parser.add_argument("--method", default=None,
-                        choices=METHODS,
-                        help="override propagation method")
+                        help="sets output.samples")
+    parser.add_argument("--method", default=None, choices=METHODS,
+                        help="sets propagator.method")
     parser.add_argument("--tol", type=float, default=None,
-                        help="override relative tolerance")
+                        help="sets propagator.rel_tol, and "
+                             "propagator.abs_tol to 1e-2 times it")
     sub = parser.add_subparsers(dest="command", required=True)
     for verb in ("run", "sweep", "validate"):
         p = sub.add_parser(verb)
@@ -563,8 +561,10 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        cfg = load_config(args.config, _flag_keys(args))
+        if args.command == "run" and cfg.sweep:
+            raise ConfigError({"sweep": "the config has sweep axes; "
+                               "run it with the sweep command"})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -92,7 +92,9 @@ class PropagatorSettings:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled density-matrix history with per-sample diagnostics."""
+    """Sampled density-matrix history with per-sample diagnostics.  The
+    dressed frame at the sample times (angles, quasienergies, U, drive
+    values, floor flags) is `frame`; `times` is its `t`, the same array."""
 
     times: np.ndarray            # (n,)
     rho: np.ndarray              # (n, 3, 3) bare basis
@@ -100,13 +102,7 @@ class Trajectory:
     purity: np.ndarray           # (n,)
     pops_bare: np.ndarray        # (n, 3)
     pops_adiabatic: np.ndarray   # (n, 3)
-    theta: np.ndarray            # (n,)
-    phi: np.ndarray              # (n,)
-    lam: np.ndarray              # (n, 3)
-    omega_p: np.ndarray          # (n,)
-    omega_c: np.ndarray          # (n,)
-    delta: np.ndarray            # (n,)
-    floor_engaged: np.ndarray    # (n,) bool
+    frame: adiabatic.AdiabaticFrame
     trace_err_max: float
     hermiticity_err_max: float
     min_eigenvalue: float
@@ -311,13 +307,7 @@ def _assemble(rho, fr: adiabatic.AdiabaticFrame) -> Trajectory:
         pops_bare=np.stack([rho[:, k, k].real for k in range(3)], axis=-1),
         pops_adiabatic=np.stack([big_r[:, k, k].real for k in range(3)],
                                 axis=-1),
-        theta=fr.theta,
-        phi=fr.phi,
-        lam=fr.lam,
-        omega_p=fr.omega_p,
-        omega_c=fr.omega_c,
-        delta=fr.delta,
-        floor_engaged=fr.floor_engaged,
+        frame=fr,
         trace_err_max=trace_err,
         hermiticity_err_max=float(herm_err),
         min_eigenvalue=eigmin,
@@ -545,6 +535,5 @@ def closed_system_solution(frame: adiabatic.AdiabaticFrame, R0: np.ndarray,
     lam = np.asarray(frame.lam)
     diff = lam[:, None] - lam[None, :]
     t = np.asarray(t, dtype=float)
-    phase = np.exp(-1j * diff * t[..., None, None]) if t.ndim else \
-        np.exp(-1j * diff * t)
-    return phase * np.asarray(R0, dtype=complex)
+    return np.exp(-1j * diff * t[..., None, None]) \
+        * np.asarray(R0, dtype=complex)

@@ -89,9 +89,6 @@ class ThetaLawPulse:
         tan2 = math.tan(2.0 * self.theta0) * np.exp(self.gamma_c * (t - self.t0))
         return 0.5 * np.arctan(tan2)
 
-    def theta_dot(self, t):
-        return 0.25 * self.gamma_c * np.sin(4.0 * self.theta(t))
-
     def value(self, t):
         th = self.theta(t)
         return self.omega * (np.sin(th) if self.component == "sin" else np.cos(th))

@@ -157,11 +157,13 @@ class TestEmitTable:
             row = [traj.times[k]]
             for z in traj.rho[k].ravel():
                 row += [z.real, z.imag]
-            row += [*traj.pops_adiabatic[k], traj.purity[k], traj.theta[k],
-                    traj.phi[k], traj.lam[k, 1], traj.lam[k, 2],
-                    traj.omega_p[k], traj.omega_c[k], traj.delta[k]]
+            row += [*traj.pops_adiabatic[k], traj.purity[k],
+                    traj.frame.theta[k], traj.frame.phi[k],
+                    traj.frame.lam[k, 1], traj.frame.lam[k, 2],
+                    traj.frame.omega_p[k], traj.frame.omega_c[k],
+                    traj.frame.delta[k]]
             lines.append(",".join(f"{x:.17g}" for x in row)
-                         + f",{int(traj.floor_engaged[k])}")
+                         + f",{int(traj.frame.floor_engaged[k])}")
         expected = ("\n".join(lines) + "\n").encode("utf-8")
         assert pathlib.Path(record.table_path).read_bytes() == expected
 
@@ -410,12 +412,32 @@ class TestMainEntry:
         assert main(["validate", str(bad)]) == 2
 
     def test_run_with_flags(self, tmp_path, capsys):
+        """--samples and --tol write the table of a config file that sets
+        the keys they stand for."""
         code = main(["--out-dir", str(tmp_path), "--samples", "40",
                      "--tol", "1e-7", "run", "stirap_fig2"])
         assert code == 0
         assert (tmp_path / "stirap_fig2.csv").exists()
         out = capsys.readouterr().out
         assert "transfer" in out
+        cfg = tmp_path / "stirap.cfg"
+        cfg.write_text(BUILTINS["stirap_fig2"] + "output.samples = 40\n"
+                       "propagator.rel_tol = 1e-07\n"
+                       "propagator.abs_tol = 1e-09\n", encoding="utf-8")
+        assert main(["--out-dir", str(tmp_path / "keys"), "run",
+                     str(cfg)]) == 0
+        table = (tmp_path / "stirap_fig2.csv").read_bytes()
+        assert len(table.splitlines()) == 41
+        assert table == (tmp_path / "keys" / "stirap_fig2.csv").read_bytes()
+
+    def test_run_refuses_sweep_config(self, tmp_path, capsys):
+        """`run` on a config with sweep axes is a config error naming the
+        sweep, not a run of the base point; `validate` still accepts it."""
+        assert main(["--out-dir", str(tmp_path), "run",
+                     "purity_delta_fig4"]) == 2
+        assert "sweep" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert main(["validate", "purity_delta_fig4"]) == 0
 
     @pytest.mark.parametrize("lines", [
         "propagator.rk_pair = foo",
