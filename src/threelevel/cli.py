@@ -4,9 +4,12 @@ Scenarios are described by flat dotted-key text files (``key = value`` lines,
 ``#`` comments); all physical quantities are dimensionless in units of the
 scenario horizon.  Four builtin scenarios reproduce the standard experiments:
 counterintuitive and intuitive transfer, the purity-versus-detuning sweep,
-and the Hadamard-type hold at theta = pi/4.  The ``propagator.*`` keys fill
-one `PropagatorSettings`, which checks them and picks the basis and the
-method; a run is one `evolution.propagate` call.
+and the Hadamard-type hold at theta = pi/4.  The ``rates.*``, ``detuning.*``
+and ``propagator.*`` keys fill one `RateSet`, `DetuningSchedule` and
+`PropagatorSettings`, which check them; a number that is not finite is
+rejected under its key.  A config is a grid of points (one point without
+``sweep.*`` axes): `_points` builds and checks each, and `run_sweep` runs
+each as one `evolution.propagate` call, for `run` and `sweep` alike.
 
 Command line:
 
@@ -19,12 +22,14 @@ with flags, given before the subcommand, --out-dir (default from
 THREELEVEL_OUT_DIR or cwd), --workers, and --samples, --method, --tol,
 which are shorthand for config keys (`_flag_keys`), so a config is built
 and checked once.  `run` refuses a config with sweep axes.  Exit codes:
-0 success, 2 config error, 3 numerical failure.
+0 success, 2 config error, 3 numerical failure of any point, which is
+reported as ``[id] FAILED: <message>``.
 """
 
 import argparse
 import concurrent.futures
 import itertools
+import math
 import operator
 import os
 import sys
@@ -78,10 +83,7 @@ class ScenarioConfig:
     width: float = None
     delay: float = None
     ordering: str = "counterintuitive"
-    detuning_kind: str = "constant"
-    delta0: float = 0.0
-    detuning_gamma1: float = 0.0
-    detuning_t0: float = 0.0
+    detuning: DetuningSchedule = field(default_factory=DetuningSchedule)
     settings: PropagatorSettings = field(default_factory=PropagatorSettings)
     samples: int = 1000
     sweep: tuple = ()   # ((dotted key, (values...)), ...)
@@ -108,33 +110,37 @@ def _parse_bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_float_list(text):
-    return tuple(float(tok) for tok in text.split(","))
+def _parse_float(text):
+    """The one numeric converter: a finite float, else ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 # key -> (attribute path on ScenarioConfig, converter)
 _KEY_TABLE = {
     "scenario": ("scenario", str),
     "configuration": ("configuration", Configuration),
-    "horizon": ("horizon", float),
+    "horizon": ("horizon", _parse_float),
     "initial_state": ("initial_state", str),
-    "rates.gamma1": ("rates.gamma1", float),
-    "rates.gamma2": ("rates.gamma2", float),
-    "rates.gamma1_deph": ("rates.gamma1_deph", float),
-    "rates.gamma2_deph": ("rates.gamma2_deph", float),
-    "rates.gamma3_deph": ("rates.gamma3_deph", float),
+    "rates.gamma1": ("rates.gamma1", _parse_float),
+    "rates.gamma2": ("rates.gamma2", _parse_float),
+    "rates.gamma1_deph": ("rates.gamma1_deph", _parse_float),
+    "rates.gamma2_deph": ("rates.gamma2_deph", _parse_float),
+    "rates.gamma3_deph": ("rates.gamma3_deph", _parse_float),
     "dissipation.xi_appendix_verbatim": ("xi_appendix_verbatim", _parse_bool),
-    "pulses.peak_omega": ("peak_omega", float),
-    "pulses.width": ("width", float),
-    "pulses.delay": ("delay", float),
+    "pulses.peak_omega": ("peak_omega", _parse_float),
+    "pulses.width": ("width", _parse_float),
+    "pulses.delay": ("delay", _parse_float),
     "pulses.ordering": ("ordering", str),
-    "detuning.kind": ("detuning_kind", str),
-    "detuning.delta0": ("delta0", float),
-    "detuning.gamma1": ("detuning_gamma1", float),
-    "detuning.t0": ("detuning_t0", float),
+    "detuning.kind": ("detuning.kind", str),
+    "detuning.delta0": ("detuning.delta0", _parse_float),
+    "detuning.gamma1": ("detuning.gamma1", _parse_float),
+    "detuning.t0": ("detuning.t0", _parse_float),
     "propagator.method": ("settings.method", str),
-    "propagator.rel_tol": ("settings.rel_tol", float),
-    "propagator.abs_tol": ("settings.abs_tol", float),
+    "propagator.rel_tol": ("settings.rel_tol", _parse_float),
+    "propagator.abs_tol": ("settings.abs_tol", _parse_float),
     "propagator.n_slices": ("settings.n_slices", int),
     "propagator.basis": ("settings.basis", str),
     "output.samples": ("samples", int),
@@ -167,7 +173,7 @@ def parse_config_text(text: str) -> dict:
 
 def _set_field(cfg: ScenarioConfig, path: str, value) -> ScenarioConfig:
     """cfg with the field at `path` set; `member.name` sets a field of the
-    member (`rates`, `settings`), whose own checks then run."""
+    member (`rates`, `detuning`, `settings`), whose own checks then run."""
     member, _, name = path.rpartition(".")
     if member:
         value, name = replace(getattr(cfg, member), **{name: value}), member
@@ -185,11 +191,11 @@ def build_config(mapping: dict) -> ScenarioConfig:
             if target not in _KEY_TABLE:
                 problems[key] = "unknown sweep target"
                 continue
-            if _KEY_TABLE[target][1] not in (float, int):
+            if _KEY_TABLE[target][1] not in (_parse_float, int):
                 problems[key] = "only numeric keys can be swept"
                 continue
             try:
-                values = _parse_float_list(raw)
+                values = tuple(_parse_float(tok) for tok in raw.split(","))
             except ValueError as exc:
                 problems[key] = str(exc)
                 continue
@@ -219,25 +225,16 @@ def build_config(mapping: dict) -> ScenarioConfig:
 
 
 def _validate_config(cfg: ScenarioConfig):
-    """Collect every problem of a config.  The schedule and the propagator
-    settings are built here, so their own checks run before any work."""
+    """Collect the problems of a config: its initial state, and those of
+    its points, which `_points` builds, before any work."""
     problems = {}
     if cfg.initial_state not in _INITIAL_STATES:
         problems["initial_state"] = \
             f"unknown state (choose from {sorted(_INITIAL_STATES)})"
     try:
-        build_schedule(cfg)
-    except ValueError as exc:
-        problems["schedule"] = str(exc)
-    try:
-        cfg.settings.check_samples(cfg.samples)
-    except ValueError as exc:
-        problems["propagator"] = str(exc)
-    if cfg.sweep:
-        try:
-            _sweep_points(cfg)
-        except ConfigError as exc:
-            problems.update(exc.problems)
+        _points(cfg)
+    except ConfigError as exc:
+        problems.update(exc.problems)
     if problems:
         raise ConfigError(problems)
 
@@ -328,31 +325,28 @@ _BUILTIN_BLURBS = {
 # --- execution ---------------------------------------------------------------
 
 def build_schedule(cfg: ScenarioConfig):
-    detuning = DetuningSchedule(kind=cfg.detuning_kind, delta0=cfg.delta0,
-                                gamma1=cfg.detuning_gamma1, t0=cfg.detuning_t0)
-    return make_stirap_schedule(cfg.peak_omega, cfg.delta0, cfg.horizon,
-                                cfg.ordering, width=cfg.width,
-                                delay=cfg.delay, detuning=detuning)
-
-
-def initial_density(cfg: ScenarioConfig, schedule) -> np.ndarray:
-    state = cfg.initial_state
-    if state.startswith("adiabatic_"):
-        n = int(state[-1]) - 1
-        u = frame(schedule, 0.0).U
-        vec = u[:, n]
-        return np.outer(vec, vec.conj())
-    return _INITIAL_STATES[state].astype(complex)
+    return make_stirap_schedule(cfg.peak_omega, cfg.detuning.delta0,
+                                cfg.horizon, cfg.ordering, width=cfg.width,
+                                delay=cfg.delay, detuning=cfg.detuning)
 
 
 def run_trajectory(cfg: ScenarioConfig, schedule=None) -> Trajectory:
     """Propagate the configured scenario and return its Trajectory.  A
-    caller that has already built the config's schedule passes it."""
+    caller that has already built the config's schedule passes it.  The
+    frame at t = 0 is evaluated once, if a dressed initial state or the
+    dressed basis needs it."""
     if schedule is None:
         schedule = build_schedule(cfg)
-    rho0 = initial_density(cfg, schedule)
-    if cfg.settings.basis == "adiabatic":
+    state = cfg.initial_state
+    dressed = cfg.settings.basis == "adiabatic"
+    if state.startswith("adiabatic_") or dressed:
         u = frame(schedule, 0.0).U
+    if state.startswith("adiabatic_"):
+        vec = u[:, int(state[-1]) - 1]
+        rho0 = np.outer(vec, vec.conj())
+    else:
+        rho0 = _INITIAL_STATES[state].astype(complex)
+    if dressed:
         rho0 = u.conj().T @ rho0 @ u
     return propagate(cfg.configuration, cfg.rates, schedule, rho0,
                      cfg.settings, samples=cfg.samples,
@@ -381,12 +375,14 @@ def summarize(traj: Trajectory) -> dict:
     }
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir: str,
-                 scenario_id: str = None) -> RunRecord:
-    """Execute one scenario, write its time-series table, return the record."""
+def run_scenario(cfg: ScenarioConfig, out_dir: str, scenario_id: str = None,
+                 schedule=None) -> RunRecord:
+    """Execute one scenario, write its time-series table, return the record.
+    A caller that has already built the config's schedule passes it."""
     scenario_id = scenario_id or cfg.scenario
     os.makedirs(out_dir, exist_ok=True)
-    schedule = build_schedule(cfg)
+    if schedule is None:
+        schedule = build_schedule(cfg)
     traj = run_trajectory(cfg, schedule)
     table_path = os.path.join(out_dir, f"{scenario_id}.csv")
     emit_table(traj, table_path)
@@ -396,12 +392,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
                      summary=summarize(traj))
 
 
-def _sweep_points(cfg: ScenarioConfig) -> list:
-    """(scenario ID, point config) per grid point, in grid order.  IDs tag
-    each axis with the repr of its value.  Each point's rates, schedule and
-    propagator settings are built here, like a base config's, and a point
-    they reject, or two points with one ID (which would write one table),
-    raise ConfigError."""
+def _points(cfg: ScenarioConfig) -> list:
+    """(scenario ID, point config, schedule) per grid point, in grid order;
+    a config without sweep axes is the one point named `cfg.scenario`.  IDs
+    tag each axis with the repr of its value.  Each point's swept values,
+    schedule and sample count are checked here, the one place a point is
+    built.  A point they reject, or two points with one ID (which would
+    write one table), raise ConfigError: a sweep point's problem under its
+    ID, a plain config's under `schedule` or `propagator`."""
     keys = [key for key, _ in cfg.sweep]
     points = []
     problems = {}
@@ -409,16 +407,17 @@ def _sweep_points(cfg: ScenarioConfig) -> list:
         tags = [f"{key.split('.')[-1]}={value!r}"
                 for key, value in zip(keys, combo)]
         scenario_id = "__".join([cfg.scenario] + tags)
-        point = replace(cfg, sweep=())
+        point, schedule, stage = replace(cfg, sweep=()), None, "schedule"
         try:
             for key, value in zip(keys, combo):
                 point = _set_field(point, _KEY_TABLE[key][0], value)
-            build_schedule(point)
+            schedule = build_schedule(point)
+            stage = "propagator"
             point.settings.check_samples(point.samples)
         except ValueError as exc:
-            problems[scenario_id] = str(exc)
-        points.append((scenario_id, point))
-    if len({scenario_id for scenario_id, _ in points}) < len(points):
+            problems[scenario_id if cfg.sweep else stage] = str(exc)
+        points.append((scenario_id, point, schedule))
+    if len({scenario_id for scenario_id, _, _ in points}) < len(points):
         problems["sweep"] = ("two points share a scenario ID "
                              "(a value is repeated)")
     if problems:
@@ -427,17 +426,16 @@ def _sweep_points(cfg: ScenarioConfig) -> list:
 
 
 def run_sweep(cfg: ScenarioConfig, out_dir: str, workers: int = 1) -> list:
-    """Run the cross product of the sweep axes; records are ordered by grid
-    index and per-point failures are recorded without aborting the sweep."""
-    if not cfg.sweep:
-        return [run_scenario(cfg, out_dir)]
-    points = _sweep_points(cfg)
+    """Run every point of the config (one, without sweep axes); records are
+    ordered by grid index, and a point that fails numerically is recorded
+    without aborting the others."""
+    points = _points(cfg)
 
     def one(item):
-        scenario_id, point = item
+        scenario_id, point, schedule = item
         try:
-            return run_scenario(point, out_dir, scenario_id=scenario_id)
-        except (PropagationError, ValueError) as exc:
+            return run_scenario(point, out_dir, scenario_id, schedule)
+        except (PropagationError, ValueError, OverflowError) as exc:
             return RunRecord(scenario_id=scenario_id,
                              params=_flat_params(point), table_path="",
                              stability=None, summary={}, error=str(exc))
@@ -573,19 +571,10 @@ def main(argv=None) -> int:
         print(f"{args.config}: OK (scenario {cfg.scenario!r})")
         return 0
 
-    try:
-        if args.command == "run":
-            record = run_scenario(cfg, args.out_dir)
-            _print_record(record)
-            return 0
-        records = run_sweep(cfg, args.out_dir, workers=args.workers)
-        for record in records:
-            _print_record(record)
-        return 3 if any(r.error for r in records) else 0
-    except (PropagationError, ValueError, OverflowError) as exc:
-        print(f"numerical failure in scenario {cfg.scenario!r}: {exc}",
-              file=sys.stderr)
-        return 3
+    records = run_sweep(cfg, args.out_dir, workers=args.workers)
+    for record in records:
+        _print_record(record)
+    return 3 if any(r.error for r in records) else 0
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ transfer.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ class RateSet:
     def __post_init__(self):
         for name in ("gamma1", "gamma2", "gamma1_deph", "gamma2_deph",
                      "gamma3_deph"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,8 @@ class PropagatorSettings:
     basis: str = "bare"               # one of BASES
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.rel_tol < 100 * np.finfo(float).eps:
             # scipy's DOP853 would raise it to this floor with a warning
             raise ValueError("rel_tol below 100 machine epsilons "

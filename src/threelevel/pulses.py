@@ -20,6 +20,7 @@ DEFAULT_DELAY_FRACTION = 0.38   # center offset from T/2 as a fraction of width
 FLOOR_FRACTION = 1e-9           # Rabi floor relative to the peak coupling
 
 ORDERINGS = ("counterintuitive", "intuitive", "static")
+DETUNING_KINDS = ("constant", "shaped")
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,9 @@ class DetuningSchedule:
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "shaped"):
-            raise ValueError(f"unknown detuning kind {self.kind!r}")
+        if self.kind not in DETUNING_KINDS:
+            raise ValueError(f"unknown detuning kind {self.kind!r} "
+                             f"(choose from {DETUNING_KINDS})")
         if self.kind == "shaped" and self.gamma1 < 0:
             raise ValueError("shaped detuning requires gamma1 >= 0")
 

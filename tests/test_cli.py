@@ -33,7 +33,7 @@ class TestConfigParsing:
         assert cfg.configuration is Configuration.XI
         assert cfg.rates.gamma1 == 0.25
         assert cfg.ordering == "intuitive"
-        assert cfg.delta0 == 500.0
+        assert cfg.detuning.delta0 == 500.0
 
     def test_unknown_keys_all_reported(self):
         text = "bogus = 1\nrates.gamma9 = 2\nhorizon = 1.0\n"
@@ -113,7 +113,7 @@ class TestBuiltins:
             assert der.Gamma2 * T == pytest.approx(0.5 + gc_T)
             assert der.gamma_c * T == pytest.approx(gc_T)
             assert cfg.peak_omega * T == pytest.approx(100.0)
-        assert load_config("stirap_fig2").delta0 == 1000.0
+        assert load_config("stirap_fig2").detuning.delta0 == 1000.0
         assert load_config("purity_delta_fig4").sweep == \
             (("detuning.delta0", (100.0, 300.0, 1000.0)),)
 
@@ -481,12 +481,58 @@ class TestMainEntry:
                              str(cfg)]) == 2
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("key", [
+        "horizon", "rates.gamma1", "rates.gamma2", "rates.gamma1_deph",
+        "rates.gamma2_deph", "rates.gamma3_deph", "pulses.peak_omega",
+        "pulses.width", "pulses.delay", "detuning.delta0", "detuning.gamma1",
+        "detuning.t0", "propagator.rel_tol", "propagator.abs_tol",
+        "sweep.detuning.delta0",
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, key):
+        """nan, inf and -inf are config errors under the key that carries
+        them, in a base value or a sweep value."""
+        cfg = tmp_path / "bad.cfg"
+        for value in ("nan", "inf", "-inf"):
+            text = f"{key} = {value}\n"
+            if key.startswith("sweep."):
+                text = f"{key} = 100, {value}\n"
+            cfg.write_text(text, encoding="utf-8")
+            assert main(["validate", str(cfg)]) == 2
+            assert key in capsys.readouterr().err
+
+    def test_non_finite_tol_flag_exits_2(self, capsys):
+        assert main(["--tol", "nan", "validate", "stirap_fig2"]) == 2
+        assert "propagator.rel_tol" in capsys.readouterr().err
+
+    def test_failed_run_exits_3(self, tmp_path, capsys):
+        """A one-point config that fails numerically is reported like a
+        failed sweep point, and no table is written: one Magnus slice over
+        the whole dissipative transfer gives a negative population."""
+        cfg = tmp_path / "one_slice.cfg"
+        cfg.write_text("scenario = one_slice\nrates.gamma1 = 0.5\n"
+                       "rates.gamma2 = 0.5\nrates.gamma2_deph = 0.01\n"
+                       "pulses.peak_omega = 50.0\ndetuning.delta0 = 400.0\n"
+                       "output.samples = 2\npropagator.method = expm_oracle\n"
+                       "propagator.n_slices = 1\n", encoding="utf-8")
+        assert main(["--out-dir", str(tmp_path), "run", str(cfg)]) == 3
+        assert "[one_slice] FAILED: negative population" in \
+            capsys.readouterr().out
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_swept_base_value_not_checked(self, tmp_path, capsys):
+        """A base value that every sweep point replaces is not a point of
+        the grid, so it is not checked on its own."""
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("output.samples = 1\nsweep.output.samples = 30, 40\n",
+                       encoding="utf-8")
+        assert main(["validate", str(cfg)]) == 0
+
     def test_schedule_built_once_per_use(self, tmp_path, monkeypatch,
                                          capsys):
-        """A run builds its schedule once to validate the config and once
-        to run it; a sweep also builds each point's once to validate it
-        and once more when the sweep runs it.  A flag that leaves the config
-        as it was does not validate it again."""
+        """Every config is a grid of points, a plain one of one point, and
+        each point's schedule is built once to validate the config and once
+        more to run it.  A flag that leaves the config as it was does not
+        validate it again."""
         built = []
         real = threelevel.cli.build_schedule
         monkeypatch.setattr(threelevel.cli, "build_schedule",
@@ -498,7 +544,7 @@ class TestMainEntry:
                        encoding="utf-8")
         for argv, count in ((["run", "hadamard_hold"], 2),
                             (["--samples", "1000", "run", "hadamard_hold"], 2),
-                            (["sweep", str(cfg)], 10)):
+                            (["sweep", str(cfg)], 6)):
             built.clear()
             assert main(["--out-dir", str(tmp_path), *argv]) == 0
             assert len(built) == count

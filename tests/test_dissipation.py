@@ -49,6 +49,14 @@ class TestLindbladOps:
         with pytest.raises(ValueError):
             RateSet(gamma1=-0.5)
 
+    @pytest.mark.parametrize("name", ["gamma1", "gamma2", "gamma1_deph",
+                                      "gamma2_deph", "gamma3_deph"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, name, value):
+        """A nan rate would otherwise drop out of `lindblad_ops` silently."""
+        with pytest.raises(ValueError, match=name):
+            RateSet(**{name: value})
+
 
 class TestDissipator:
     def test_lambda_on_excited_projector(self):

@@ -552,3 +552,10 @@ class TestTrajectoryInvariants:
             PropagatorSettings(method="verlet")
         with pytest.raises(ValueError):
             PropagatorSettings(basis="dressed")
+
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_settings_reject_non_finite_tolerance(self, name, value):
+        """A nan tolerance would never accept or reject a step."""
+        with pytest.raises(ValueError, match="finite"):
+            PropagatorSettings(**{name: value})

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from threelevel.pulses import (ConstantPulse, DetuningSchedule, GaussianPulse,
+from threelevel.pulses import (DETUNING_KINDS, ConstantPulse,
+                               DetuningSchedule, GaussianPulse,
                                ThetaLawPulse, make_stirap_schedule,
                                theta_law_schedule)
 
@@ -161,6 +162,12 @@ class TestDetuning:
     def test_negative_gamma1_rejected(self):
         with pytest.raises(ValueError):
             DetuningSchedule(kind="shaped", delta0=1.0, gamma1=-0.1)
+
+    def test_unknown_kind_names_choices(self):
+        with pytest.raises(ValueError) as err:
+            DetuningSchedule(kind="ramp")
+        for kind in DETUNING_KINDS:
+            assert kind in str(err.value)
 
     def test_schedule_delta_derivative(self):
         d = DetuningSchedule(kind="shaped", delta0=2.0, gamma1=0.8, t0=0.1)
