@@ -5,10 +5,9 @@ from .analysis import (QuadratureEstimate, StabilityReport,
                        compare_analytic_numeric, hadamard_fidelity, purity,
                        quadrature_solution, stability_report)
 from .dissipation import (Configuration, DerivedRates, RateSet,
-                          derived_rates, dissipator, lindblad_ops)
+                          derived_rates, dissipator, ketbra, lindblad_ops)
 from .evolution import (PropagationError, PropagatorSettings, Trajectory,
                         closed_system_solution, propagate)
-from .matops import dagger, ketbra
 from .pulses import (ConstantPulse, DetuningSchedule, GaussianPulse,
                      PulseSchedule, ThetaLawPulse, make_stirap_schedule,
                      theta_law_schedule)

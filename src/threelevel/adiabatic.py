@@ -29,8 +29,10 @@ defined as F = U^dag dU/dt, which is real antisymmetric with
 
 These formulas live once, in the elementwise numpy kernels `angles` and
 `rotation`.  `frame` evaluates them on a schedule at a scalar time or on a
-grid, and the dressed generator kernel of `evolution` weights its block
-table with `angles` on the stage times of each integrator step.
+grid.  `phasors` gives the same frame with exp(2i theta) and exp(i phi) in
+place of the angles, without transcendental functions; the dressed
+generator kernel of `evolution` weights its block table with it on the
+stage times of each integrator step.
 """
 
 from dataclasses import dataclass
@@ -76,12 +78,43 @@ def angles(op, oc, dop, doc, omega, domega, delta, ddelta):
     coupling omega, the detuning and their time derivatives, elementwise."""
     theta = np.arctan2(op, oc)
     phi = 0.5 * np.arctan2(2.0 * omega, delta)
+    return (theta, phi) + _rates(op, oc, dop, doc, omega, domega, delta,
+                                 ddelta)[:4]
+
+
+def phasors(op, oc, dop, doc, omega, domega, delta, ddelta):
+    """(exp(2i theta), exp(i phi), theta', phi', lam2, lam3): `angles` with
+    its two angles as unit complex numbers, found by square roots and
+    divisions alone.
+
+    exp(i theta) is (Omega_c + i Omega_p) over the modulus of the raw drives,
+    which the Rabi floor does not touch, and 1 where both drives vanish, as
+    atan2(0, 0) = 0.  exp(2i phi) is (Delta + 2i Omega) / r with
+    r = sqrt(Delta^2 + 4 Omega^2); 2 phi lies in [0, pi], so exp(i phi) is
+    its principal square root.  That root is the half-angle form: the
+    complex square root takes the real root of (1 + |cos 2phi|) / 2, on the
+    side (cos phi for Delta >= 0, sin phi below) where it does not cancel,
+    and divides sin 2phi = 2 Omega / r by twice it for the other, so both
+    stay accurate for either sign of Delta and for |Delta| >> Omega."""
+    theta_dot, phi_dot, lam2, lam3, root = _rates(op, oc, dop, doc, omega,
+                                                  domega, delta, ddelta)
+    raw = np.hypot(op, oc)
+    vanish = raw == 0.0
+    e_theta = np.empty(np.shape(raw), dtype=complex)
+    e_theta.real, e_theta.imag = oc + vanish, op     # 1 where both vanish
+    e_theta /= raw + vanish
+    return (e_theta * e_theta, np.sqrt((delta + 2j * omega) / root),
+            theta_dot, phi_dot, lam2, lam3)
+
+
+def _rates(op, oc, dop, doc, omega, domega, delta, ddelta):
+    """(theta', phi', lam2, lam3, r), r = sqrt(Delta^2 + 4 Omega^2)."""
     theta_dot = (dop * oc - op * doc) / (omega * omega)
     phi_dot = (domega * delta - omega * ddelta) / (delta * delta
                                                    + 4.0 * omega * omega)
     root = np.hypot(delta, 2.0 * omega)
-    return (theta, phi, theta_dot, phi_dot,
-            0.5 * (delta - root), 0.5 * (delta + root))
+    return (theta_dot, phi_dot, 0.5 * (delta - root), 0.5 * (delta + root),
+            root)
 
 
 def rotation(theta, phi):

@@ -380,11 +380,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, scenario_id: str = None,
     """Execute one scenario, write its time-series table, return the record.
     A caller that has already built the config's schedule passes it."""
     scenario_id = scenario_id or cfg.scenario
-    os.makedirs(out_dir, exist_ok=True)
     if schedule is None:
         schedule = build_schedule(cfg)
     traj = run_trajectory(cfg, schedule)
     table_path = os.path.join(out_dir, f"{scenario_id}.csv")
+    os.makedirs(out_dir, exist_ok=True)   # only once there is a table
     emit_table(traj, table_path)
     report = stability_report(cfg.configuration, cfg.rates, schedule)
     return RunRecord(scenario_id=scenario_id, params=_flat_params(cfg),

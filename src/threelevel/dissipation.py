@@ -28,7 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matops import dagger, ketbra
+
+def ketbra(i: int, j: int) -> np.ndarray:
+    """Transition operator |i><j| on the three-level space, 1-based indices."""
+    if not (1 <= i <= 3 and 1 <= j <= 3):
+        raise ValueError(f"level indices must be in 1..3, got ({i}, {j})")
+    m = np.zeros((3, 3), dtype=complex)
+    m[i - 1, j - 1] = 1.0
+    return m
 
 
 class Configuration(str, enum.Enum):
@@ -96,7 +103,7 @@ def dissipator(ops: list, rho: np.ndarray) -> np.ndarray:
     """(1/2) sum_k (2 L_k rho L_k^dag - L_k^dag L_k rho - rho L_k^dag L_k)."""
     out = np.zeros((3, 3), dtype=complex)
     for op in ops:
-        opd = dagger(op)
+        opd = op.conj().T
         anti = opd @ op
         out += op @ rho @ opd - 0.5 * (anti @ rho + rho @ anti)
     return out

@@ -17,19 +17,24 @@ lam2 C2 + lam3 C3 + [., F] + W^-1 D W, with W the superoperator of
 R -> U R U^T.  The dressed dissipator is a trigonometric polynomial in the
 frame angles, so it enters as a table of harmonic blocks, built once per
 propagation and weighted by products of cos/sin(2k theta) and
-cos/sin(k phi).  One grid kernel, `_generator_kernel`, maps an array of
-times to the stacked generators of either basis.
+cos/sin(k phi), which come from the drives as complex powers of
+exp(2i theta) and exp(i phi) (`adiabatic.phasors`).  One grid kernel,
+`_generator_kernel`, maps an array of times to the stacked generators of
+either basis.
 
 One public `propagate` builds the kernel of the basis its settings name
 and runs one of two integrators on it: `_dop853`, the Dormand-Prince
 8(5,3) embedded pair of scipy's DOP853 run in-house so that each step
-attempt builds all of its stage generators in one kernel call, or
+attempt builds all of its stage generators in one kernel call, and only
+accepted steps that contain output times build the three extra stages and
+the interpolant, which is evaluated at all output times after the loop, or
 `_magnus4`, the matrix-exponential oracle, which takes fourth-order Magnus
 steps (two Gauss nodes per slice) exponentiated by `expm`.  So each
 integrator runs in either basis, and the two bases and the two integrators
 are independent cross-checks of one another.
 """
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -38,8 +43,8 @@ import numpy as np
 import scipy   # submodules load on first use, keeping `import threelevel` light
 
 from . import adiabatic
-from .dissipation import Configuration, RateSet, dissipator, lindblad_ops
-from .matops import ketbra
+from .dissipation import (Configuration, RateSet, dissipator, ketbra,
+                          lindblad_ops)
 from .pulses import PulseSchedule
 
 TRACE_TOL = 1e-8
@@ -181,6 +186,22 @@ def _harmonics(x, degree):
     return out
 
 
+_POWERS = np.arange(1.0, 5.0)
+
+
+def _waves(e_2theta, e_phi):
+    """`_harmonics(2 theta, 2)` and `_harmonics(phi, 4)` from exp(2i theta)
+    and exp(i phi), by complex powers.  Both are float views of one complex
+    array (i, exp(2ik theta) for k = 1, 2, i, exp(ik phi) for k = 1..4),
+    whose imaginary unit entries supply the leading 1 of each."""
+    waves = np.empty(np.shape(e_phi) + (8,), dtype=complex)
+    waves[..., 0:4:3] = 1j
+    np.power(e_2theta[..., None], _POWERS[:2], out=waves[..., 1:3])
+    np.power(e_phi[..., None], _POWERS, out=waves[..., 4:])
+    flat = waves.view(float)
+    return flat[..., 1:6], flat[..., 7:]
+
+
 # W^-1 D W is bilinear in W and W^-1, each quadratic in the entries of
 # U = A(theta) B(phi), so it is a trigonometric polynomial of degree 4 in
 # theta and in phi.  Every jump operator is a multiple of some |i><j|, so D
@@ -227,31 +248,38 @@ def _generator_kernel(schedule: PulseSchedule, d9: np.ndarray, basis: str):
     of the bare (`basis="bare"`) or the dressed (`"adiabatic"`) master
     equation with bare-basis dissipator superoperator `d9`.
 
-    The bare generator is D + Omega_p Bp + Omega_c Bc + Delta Bd.  The
-    dressed one weights `_dressed_table` by the quasienergies, the rotation
-    rates and the harmonic products of the frame angles from
-    `adiabatic.angles`.  A static schedule has one constant generator, which
-    is built here and only broadcast over the times.
+    The bare generator is D + Omega_p Bp + Omega_c Bc + Delta Bd, with
+    D + Delta Bd summed here for a constant detuning.  The dressed one
+    weights `_dressed_table` by the quasienergies, the rotation rates and
+    the harmonic products of the frame angles, from `adiabatic.phasors` and
+    `_waves`.  A static schedule has one constant generator, which is built
+    here and only broadcast over the times.
     """
     if basis == "bare":
+        constant = schedule.detuning.kind == "constant"
+        base = d9 + schedule.detuning.delta0 * _BD if constant else d9
+        drives = _DRIVES[:2] if constant else _DRIVES
+
         def at(t):
-            delta, _ = schedule.delta(t)
-            coef = np.stack([schedule.pump.value(t), schedule.stokes.value(t),
-                             delta], axis=-1)
-            return (coef @ _DRIVES).reshape(t.shape + (9, 9)) + d9
+            coef = np.empty(t.shape + (len(drives),))
+            coef[..., 0] = schedule.pump.value(t)
+            coef[..., 1] = schedule.stokes.value(t)
+            if not constant:
+                coef[..., 2] = schedule.delta(t)[0]
+            return (coef @ drives).reshape(t.shape + (9, 9)) + base
     else:
         table = _dressed_table(d9)
 
         def at(t):
-            theta, phi, theta_dot, phi_dot, lam2, lam3 = adiabatic.angles(
-                *schedule.rabi(t)[:6], *schedule.delta(t))
-            waves = _harmonics(phi, 4)        # [..., 1:3]: cos, sin(phi)
-            products = _harmonics(2.0 * theta, 2)[..., None] \
-                * waves[..., None, :]
-            coef = np.concatenate([
-                np.stack([lam2, lam3, theta_dot * waves[..., 1],
-                          theta_dot * waves[..., 2], phi_dot], axis=-1),
-                products.reshape(t.shape + (45,))], axis=-1)
+            e_2theta, e_phi, theta_dot, phi_dot, lam2, lam3 = \
+                adiabatic.phasors(*schedule.rabi(t)[:6], *schedule.delta(t))
+            theta_waves, phi_waves = _waves(e_2theta, e_phi)
+            coef = np.empty(t.shape + (50,))
+            coef[..., 0], coef[..., 1], coef[..., 4] = lam2, lam3, phi_dot
+            np.multiply(theta_dot[..., None], phi_waves[..., 1:3],
+                        out=coef[..., 2:4])
+            np.multiply(theta_waves[..., :, None], phi_waves[..., None, :],
+                        out=coef[..., 5:].reshape(t.shape + (5, 9)))
             return (coef @ table).reshape(t.shape + (9, 9))
 
     if not schedule.is_static:
@@ -354,21 +382,29 @@ def _dop853(kernel, y0, times, rel_tol, abs_tol):
     This is scipy's DOP853, driven with output times, step for step: its
     initial step selection, the 12-stage first-same-as-last step, the
     combined E5/E3 error norm, step control with safety 0.9, factors in
-    [0.2, 10] and exponent -1/8, and the 7th-order dense output, whose three
-    extra stages are built only on steps that contain output times.  Only
-    the grouping of the sums differs.  Each attempt makes one kernel call
-    for all of its stage generators.  A step below ten spacings of the
-    floating-point numbers at t raises PropagationError.
+    [0.2, 10] and exponent -1/8, and the 7th-order dense output (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.6).  Only the grouping of the sums
+    differs.  Each attempt makes one kernel call for all of its stage
+    generators.  The three extra stages and the interpolant's seven rows
+    are computed only on accepted steps that contain output times; each
+    such step keeps its start, width, state and rows, and every output is
+    evaluated from them in one batched pass after the last step.  A step
+    below ten spacings of the floating-point numbers at t raises
+    PropagationError.
     """
     nodes, a, errors, dense, n, order = _dop853_tableau()
     exponent = -1 / (order + 1)
     buf = np.empty((len(a) + 1, y0.size))     # y, then stages 0..15
-    views = [buf[:s + 1].T for s in range(len(a))]
+    weights = np.ones_like(a)                 # h * a, with 1 in column 0
+    # stage s: its argument's buffer rows and weights, and its output row
+    chain = [(buf[:s + 1].T, weights[s, :s + 1], buf[s + 1])
+             for s in range(len(a))]
     t, t_bound = float(times[0]), float(times[-1])
     y = y0
     buf[1] = f = kernel(t) @ y
 
-    scale = abs_tol + np.abs(y) * rel_tol
+    abs_y = np.abs(y)
+    scale = abs_tol + abs_y * rel_tol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound - t)
@@ -379,11 +415,17 @@ def _dop853(kernel, y0, times, rel_tol, abs_tol):
         h1 = (0.01 / max(d1, d2)) ** -exponent
     h_abs = min(100 * h0, h1, t_bound - t)
 
-    out = np.empty((len(times), y0.size))
-    done = steps = 0
+    # the dense store: per accepted step holding outputs, its start, width,
+    # state and interpolant rows, and for each output the step it lies in
+    grid = times.tolist()
+    starts, widths = np.empty(len(grid)), np.empty(len(grid))
+    states = np.empty((len(grid), y0.size))
+    interp = np.empty((len(grid), len(dense), y0.size))
+    owner = np.empty(len(grid), dtype=int)
+    done = stored = steps = 0
     while t < t_bound:
         buf[0] = y
-        min_step = 10 * abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * math.ulp(t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -395,16 +437,18 @@ def _dop853(kernel, y0, times, rel_tol, abs_tol):
             h = t_new - t
             h_abs = abs(h)
             gens = kernel(t + nodes * h)
-            weights = h * a
-            weights[:, 0] = 1.0
-            for s in range(1, n):
-                np.matmul(gens[s - 1], views[s] @ weights[s, :s + 1],
-                          out=buf[s + 1])
-            y_new = views[n] @ weights[n, :n + 1]
-            np.matmul(gens[n - 1], y_new, out=buf[n + 1])
-            scale = abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * rel_tol
-            err = errors @ buf[1:n + 2] / scale
-            err5_2, err3_2 = (err * err).sum(axis=1)
+            np.multiply(a[:, 1:], h, out=weights[:, 1:])
+            for gen, (rows_t, w, out) in zip(gens[:n - 1], chain[1:n]):
+                np.dot(gen, np.dot(rows_t, w), out=out)
+            y_new = np.dot(chain[n][0], chain[n][1])
+            np.dot(gens[n - 1], y_new, out=buf[n + 1])
+            abs_new = np.abs(y_new)
+            scale = np.maximum(abs_y, abs_new)
+            scale *= rel_tol
+            scale += abs_tol
+            err = np.dot(errors, buf[1:n + 2])
+            err /= scale
+            err5_2, err3_2 = np.dot(err, err.T).diagonal().tolist()
             if err5_2 == 0 and err3_2 == 0:
                 error_norm = 0.0
             else:
@@ -418,21 +462,27 @@ def _dop853(kernel, y0, times, rel_tol, abs_tol):
             h_abs *= max(0.2, 0.9 * error_norm ** exponent)
             rejected = True
 
-        end = np.searchsorted(times, t_new, side="right")
+        end = bisect.bisect_right(grid, t_new)
         if end > done:
-            for s in range(n + 1, len(a)):
-                np.matmul(gens[s - 1], views[s] @ weights[s, :s + 1],
-                          out=buf[s + 1])
-            # y + sum_k w_k(x) F_k, w_k the running products of x, 1 - x,
-            # x, ...: scipy's nested evaluation of the interpolant, expanded
-            x = (times[done:end] - t) / h
-            w = np.cumprod(np.stack([x, 1 - x] * 3 + [x], axis=-1), axis=-1)
-            out[done:end] = y + h * (w @ dense @ buf[1:])
+            for gen, (rows_t, w, out) in zip(gens[n:], chain[n + 1:]):
+                np.dot(gen, np.dot(rows_t, w), out=out)
+            np.dot(dense, buf[1:], out=interp[stored])
+            starts[stored], widths[stored] = t, h
+            states[stored] = y
+            owner[done:end] = stored
+            stored += 1
             done = end
-        t, y = t_new, y_new
+        t, y, abs_y = t_new, y_new, abs_new
         buf[1] = buf[n + 1]
         steps += 1
-    return out, steps
+
+    # y + h sum_k w_k(x) F_k, w_k the running products of x, 1 - x, x, ...:
+    # scipy's nested evaluation of the interpolant, expanded
+    h = widths[owner]
+    x = (times - starts[owner]) / h
+    w = np.cumprod(np.stack([x, 1 - x] * 3 + [x], axis=-1), axis=-1)
+    return (states[owner] + h[:, None] * np.einsum("ok,okj->oj", w,
+                                                   interp[owner]), steps)
 
 
 def expm(a: np.ndarray) -> np.ndarray:

@@ -23,6 +23,14 @@ ORDERINGS = ("counterintuitive", "intuitive", "static")
 DETUNING_KINDS = ("constant", "shaped")
 
 
+def _check_finite(**values):
+    """Raise ValueError naming the first value that is nan or infinite;
+    None stands for a default and passes."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class GaussianPulse:
     """Gaussian envelope peak*exp(-((t-center)/width)^2)."""
@@ -32,6 +40,7 @@ class GaussianPulse:
     width: float
 
     def __post_init__(self):
+        _check_finite(peak=self.peak, center=self.center, width=self.width)
         if self.peak < 0:
             raise ValueError("Gaussian peak must be nonnegative")
         if self.width <= 0:
@@ -42,9 +51,13 @@ class GaussianPulse:
         return self.peak * np.exp(-u * u)
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        u = (t - self.center) / self.width
-        return self.peak * np.exp(-u * u) * (-2.0 * u / self.width)
+        return self.sample(t)[1]
+
+    def sample(self, t):
+        """Value and derivative, from one exponential."""
+        u = (np.asarray(t, dtype=float) - self.center) / self.width
+        value = self.peak * np.exp(-u * u)
+        return value, value * (-2.0 * u / self.width)
 
 
 @dataclass(frozen=True)
@@ -54,6 +67,7 @@ class ConstantPulse:
     level: float
 
     def __post_init__(self):
+        _check_finite(level=self.level)
         if self.level < 0:
             raise ValueError("constant envelope must be nonnegative")
 
@@ -62,6 +76,9 @@ class ConstantPulse:
 
     def derivative(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
+
+    def sample(self, t):
+        return self.value(t), self.derivative(t)
 
 
 @dataclass(frozen=True)
@@ -101,6 +118,9 @@ class ThetaLawPulse:
             return self.omega * np.cos(th) * dth
         return -self.omega * np.sin(th) * dth
 
+    def sample(self, t):
+        return self.value(t), self.derivative(t)
+
 
 @dataclass(frozen=True)
 class DetuningSchedule:
@@ -114,6 +134,7 @@ class DetuningSchedule:
     t0: float = 0.0
 
     def __post_init__(self):
+        _check_finite(delta0=self.delta0, gamma1=self.gamma1, t0=self.t0)
         if self.kind not in DETUNING_KINDS:
             raise ValueError(f"unknown detuning kind {self.kind!r} "
                              f"(choose from {DETUNING_KINDS})")
@@ -148,12 +169,8 @@ class PulseSchedule:
     ordering: str
     floor_omega: float
 
-    def envelopes(self, t):
-        return (self.pump.value(t), self.stokes.value(t),
-                self.pump.derivative(t), self.stokes.derivative(t))
-
     def rabi(self, t) -> PulseSample:
-        op, oc, dop, doc = self.envelopes(t)
+        (op, dop), (oc, doc) = self.pump.sample(t), self.stokes.sample(t)
         omega_raw = np.hypot(op, oc)
         if self.floor_omega > 0.0:
             floor_engaged = omega_raw < self.floor_omega
@@ -197,6 +214,8 @@ def make_stirap_schedule(peak_omega: float, delta: float, horizon: float,
     (constant mixing angle pi/4).  Each Gaussian has peak peak_omega; width
     and the center offset from T/2 default to the module geometry constants.
     """
+    _check_finite(peak_omega=peak_omega, delta=delta, horizon=horizon,
+                  width=width, delay=delay)
     if peak_omega <= 0:
         raise ValueError("peak_omega must be positive")
     if horizon <= 0:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from threelevel.adiabatic import angles, frame, hamiltonian, rotation
-from threelevel.matops import ketbra
+from threelevel.dissipation import ketbra
 from threelevel.pulses import (ConstantPulse, DetuningSchedule,
                                make_stirap_schedule, theta_law_schedule,
                                PulseSchedule)

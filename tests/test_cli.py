@@ -18,6 +18,13 @@ from threelevel.dissipation import Configuration, derived_rates
 from threelevel.evolution import PropagatorSettings
 
 
+# one Magnus slice over a whole dissipative transfer: a negative population
+ONE_SLICE = ("scenario = one_slice\nrates.gamma1 = 0.5\nrates.gamma2 = 0.5\n"
+             "rates.gamma2_deph = 0.01\npulses.peak_omega = 50.0\n"
+             "detuning.delta0 = 400.0\noutput.samples = 2\n"
+             "propagator.method = expm_oracle\npropagator.n_slices = 1\n")
+
+
 class TestConfigParsing:
     def test_basic_keys_and_comments(self):
         text = """
@@ -509,15 +516,23 @@ class TestMainEntry:
         failed sweep point, and no table is written: one Magnus slice over
         the whole dissipative transfer gives a negative population."""
         cfg = tmp_path / "one_slice.cfg"
-        cfg.write_text("scenario = one_slice\nrates.gamma1 = 0.5\n"
-                       "rates.gamma2 = 0.5\nrates.gamma2_deph = 0.01\n"
-                       "pulses.peak_omega = 50.0\ndetuning.delta0 = 400.0\n"
-                       "output.samples = 2\npropagator.method = expm_oracle\n"
-                       "propagator.n_slices = 1\n", encoding="utf-8")
+        cfg.write_text(ONE_SLICE, encoding="utf-8")
         assert main(["--out-dir", str(tmp_path), "run", str(cfg)]) == 3
         assert "[one_slice] FAILED: negative population" in \
             capsys.readouterr().out
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_failed_run_leaves_no_out_dir(self, tmp_path, capsys):
+        """The output directory is made when a table is written, so a run
+        that exits 3 into a fresh --out-dir leaves nothing behind."""
+        cfg = tmp_path / "one_slice.cfg"
+        cfg.write_text(ONE_SLICE, encoding="utf-8")
+        fresh = tmp_path / "fresh" / "tables"
+        assert main(["--out-dir", str(fresh), "run", str(cfg)]) == 3
+        assert not (tmp_path / "fresh").exists()
+        assert main(["--out-dir", str(fresh), "--samples", "20",
+                     "run", "hadamard_hold"]) == 0
+        assert (fresh / "hadamard_hold.csv").is_file()
 
     def test_swept_base_value_not_checked(self, tmp_path, capsys):
         """A base value that every sweep point replaces is not a point of

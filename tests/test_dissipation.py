@@ -3,9 +3,9 @@ import pytest
 
 from threelevel.adiabatic import frame
 from threelevel.dissipation import (Configuration, DerivedRates, RateSet,
-                                    derived_rates, dissipator, lindblad_ops)
+                                    derived_rates, dissipator, ketbra,
+                                    lindblad_ops)
 from threelevel.evolution import PropagatorSettings, propagate
-from threelevel.matops import ketbra
 from threelevel.pulses import (ConstantPulse, DetuningSchedule, PulseSchedule,
                                make_stirap_schedule)
 
@@ -20,6 +20,19 @@ def drives_off_schedule(horizon):
     return PulseSchedule(ConstantPulse(0.0), ConstantPulse(0.0),
                          DetuningSchedule("constant", 0.0), horizon,
                          "static", 1e-9)
+
+
+class TestAlgebra:
+    def test_transition_operator_commutator(self):
+        """[|1><3|, |3><1|] expands to |1><1| - |3><3|."""
+        a, b = ketbra(1, 3), ketbra(3, 1)
+        np.testing.assert_array_equal(a @ b - b @ a,
+                                      ketbra(1, 1) - ketbra(3, 3))
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 4)])
+    def test_level_index_out_of_range(self, i, j):
+        with pytest.raises(ValueError, match="level indices"):
+            ketbra(i, j)
 
 
 class TestLindbladOps:

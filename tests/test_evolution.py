@@ -7,14 +7,14 @@ import scipy.integrate
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
+from threelevel import adiabatic
 from threelevel.adiabatic import frame, rotation
 from threelevel.dissipation import (Configuration, RateSet, derived_rates,
-                                    lindblad_ops)
+                                    ketbra, lindblad_ops)
 from threelevel import evolution
 from threelevel.evolution import (PropagationError, PropagatorSettings,
                                   closed_system_solution, pack, propagate,
                                   real_superop, unpack)
-from threelevel.matops import ketbra
 from threelevel.pulses import (ConstantPulse, DetuningSchedule, PulseSchedule,
                                make_stirap_schedule)
 
@@ -441,6 +441,82 @@ class TestDop853:
         assert np.max(np.abs(got - ref.sol(times).T)) <= 1e-12
 
 
+class TestDenseOutput:
+    """Outputs exactly on step ends, where the interpolant is evaluated at
+    x = 0 or x = 1 of a step."""
+
+    RATES = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.01)
+
+    def problem(self, basis):
+        s = make_stirap_schedule(50.0, 200.0, 1.0, "counterintuitive")
+        d9 = evolution.dissipator_superop(
+            lindblad_ops(Configuration.LAMBDA, self.RATES))
+        u = frame(s, 0.0).U if basis == "adiabatic" else np.eye(3)
+        return (evolution._generator_kernel(s, d9, basis),
+                pack(u.conj().T @ SIG11 @ u))
+
+    @pytest.mark.parametrize("basis", ["bare", "adiabatic"])
+    def test_two_samples(self, basis):
+        """samples = 2: the start and the end of the last step.  The steps
+        do not depend on the output times, so the end agrees with a run
+        that outputs 201 times."""
+        kernel, y0 = self.problem(basis)
+        two, steps = evolution._dop853(kernel, y0, np.array([0.0, 1.0]),
+                                       1e-9, 1e-11)
+        many, steps_many = evolution._dop853(
+            kernel, y0, np.linspace(0.0, 1.0, 201), 1e-9, 1e-11)
+        assert steps == steps_many
+        assert np.array_equal(two[0], y0)
+        assert np.max(np.abs(two[1] - many[-1])) <= 1e-14
+
+    @pytest.mark.parametrize("basis", ["bare", "adiabatic"])
+    def test_outputs_on_every_step_end(self, basis):
+        """With scipy's step ends as output times, each step holds one
+        output at its end (and the first also its start)."""
+        kernel, y0 = self.problem(basis)
+        ref = scipy.integrate.solve_ivp(
+            lambda t, y: kernel(t) @ y, (0.0, 1.0), y0, method="DOP853",
+            rtol=1e-9, atol=1e-11)
+        assert ref.success
+        got, steps = evolution._dop853(kernel, y0, ref.t, 1e-9, 1e-11)
+        assert steps == ref.t.size - 1
+        assert np.max(np.abs(got - ref.y.T)) <= 1e-12
+
+
+class TestStepCounts:
+    """Accepted DOP853 steps of the builtins through the real `propagate`
+    path, one count per sweep point.  The counts are deterministic; a
+    change that moves them changes the numerics and says so."""
+
+    COUNTS = {
+        ("stirap_fig2", "bare"): [1841],
+        ("stirap_fig2", "adiabatic"): [1914],
+        ("bstirap_fig3", "bare"): [2096],
+        ("bstirap_fig3", "adiabatic"): [2132],
+        ("purity_delta_fig4", "bare"): [500, 781, 2095],
+        ("purity_delta_fig4", "adiabatic"): [473, 766, 2131],
+        ("hadamard_hold", "bare"): [767],
+        ("hadamard_hold", "adiabatic"): [772],
+    }
+
+    @pytest.mark.parametrize("name, basis", list(COUNTS))
+    def test_builtin(self, monkeypatch, name, basis):
+        from threelevel import cli
+        counts = []
+        stepper = evolution._dop853
+
+        def recording(*args):
+            out, steps = stepper(*args)
+            counts.append(steps)
+            return out, steps
+
+        monkeypatch.setattr(evolution, "_dop853", recording)
+        cfg = cli.load_config(name, {"propagator.basis": basis})
+        for _, point, schedule in cli._points(cfg):
+            cli.run_trajectory(point, schedule)
+        assert counts == self.COUNTS[name, basis]
+
+
 rate_or_off = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
 
 
@@ -559,3 +635,30 @@ class TestTrajectoryInvariants:
         """A nan tolerance would never accept or reject a step."""
         with pytest.raises(ValueError, match="finite"):
             PropagatorSettings(**{name: value})
+
+
+class TestHarmonicWeights:
+    """The dressed kernel's harmonic weights, built from the drives by
+    square roots and complex powers, against `_harmonics` of the angles of
+    `adiabatic.angles` (atan2).  Zero drives engage the Rabi floor and keep
+    atan2(0, 0) = 0; |Delta| / Omega reaches 1e6 with either sign."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+           st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+           st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+           st.sampled_from([-1.0, 1.0]))
+    def test_match_angles(self, omega_p, omega_c, ratio, sign):
+        s = static_schedule(omega_p, omega_c, 0.0, horizon=1.0)
+        t = np.zeros(3)
+        sample = s.rabi(t)
+        delta = np.full(3, sign * ratio * float(sample.omega[0]))
+        drives = (*sample[:6], delta, np.zeros(3))
+        theta, phi = adiabatic.angles(*drives)[:2]
+        theta_waves, phi_waves = evolution._waves(
+            *adiabatic.phasors(*drives)[:2])
+        got = theta_waves[:, :, None] * phi_waves[:, None, :]
+        ref = np.einsum("ni,nj->nij", evolution._harmonics(2.0 * theta, 2),
+                        evolution._harmonics(phi, 4))
+        assert np.max(np.abs(got - ref)) <= 1e-13

@@ -196,3 +196,59 @@ class TestFloor:
                           0.0)
         with pytest.raises(ValueError):
             s.rabi(0.5)
+
+
+class TestNonFinite:
+    """nan and inf pass every `<`/`<=` check, so the library types test
+    finiteness on their own rather than rely on the CLI's parser."""
+
+    BAD = [math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("field", ["peak", "center", "width"])
+    def test_gaussian(self, field, bad):
+        args = {"peak": 1.0, "center": 0.5, "width": 0.1, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            GaussianPulse(**args)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_constant(self, bad):
+        with pytest.raises(ValueError, match="level must be finite"):
+            ConstantPulse(bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("kind", DETUNING_KINDS)
+    @pytest.mark.parametrize("field", ["delta0", "gamma1", "t0"])
+    def test_detuning(self, field, kind, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DetuningSchedule(kind=kind, **{field: bad})
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("field", ["peak_omega", "delta", "horizon",
+                                       "width", "delay"])
+    def test_stirap_schedule(self, field, bad):
+        args = {"peak_omega": 100.0, "delta": 1000.0, "horizon": 1.0,
+                "ordering": "counterintuitive", field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make_stirap_schedule(**args)
+
+    def test_nan_detuning_beside_inf_peak(self):
+        """The combination that used to build a schedule without error."""
+        with pytest.raises(ValueError):
+            make_stirap_schedule(math.inf, 0.0, 1.0, "counterintuitive",
+                                 detuning=DetuningSchedule(delta0=math.nan))
+
+
+class TestSample:
+    @pytest.mark.parametrize("pulse", [
+        GaussianPulse(peak=100.0, center=0.45, width=0.12),
+        ConstantPulse(level=7.0),
+        ThetaLawPulse(theta0=np.pi / 8, gamma_c=0.8, t0=0.3, omega=50.0,
+                      component="cos"),
+    ])
+    def test_sample_is_value_and_derivative(self, pulse):
+        """`sample` gives `value` and `derivative` bit for bit."""
+        t = np.linspace(-0.2, 1.2, 29)
+        value, derivative = pulse.sample(t)
+        np.testing.assert_array_equal(value, pulse.value(t))
+        np.testing.assert_array_equal(derivative, pulse.derivative(t))
