@@ -456,24 +456,45 @@ TABLE_COLUMNS = (["t"] + _RHO_COLUMNS
                     "floor_flag"])
 
 
+_BLOCK_ROWS = 64        # rows formatted per pass (see emit_table)
+
+
 def emit_table(traj: Trajectory, path: str) -> None:
-    """Write the trajectory as delimiter-separated values, 17 significant
-    digits, one header row; columns are fixed by TABLE_COLUMNS.
+    """Write the trajectory as comma-separated values, one header row;
+    columns are fixed by TABLE_COLUMNS.  Each value is written as C's
+    ``%.17g`` writes it, so every double reads back exactly; the 0/1 flag
+    column gives the same bytes as ``%d``.
+
+    The digits are made in numpy, `_BLOCK_ROWS` rows at a time
+    (`_format_rows`): the 17 significant digits of |x| are the integer
+    round(|x| 10^(16-k)), k = floor(log10 |x|), and the product is formed
+    exactly enough by Dekker's two-product with 10^(16-k) held as a
+    double-double.  A value is formatted by Python's ``'%.17g'`` instead
+    where that rounding is not certain, that is, where the discarded
+    fraction lies within 1e-6 of one half (exact ties included), and
+    where the value is not finite or |x| lies outside [1e-280, 1e290].
+    Rows go in blocks so that each pass's arrays stay small: the writer's
+    memory does not grow with the table.
 
     The table is written to a temporary file beside `path` and renamed over
     it, so an interrupted write leaves any previous table whole."""
     n = len(traj.times)
     fr = traj.frame
-    data = np.column_stack([
-        traj.times,
-        np.stack([traj.rho.real, traj.rho.imag], axis=-1).reshape(n, 18),
-        traj.pops_adiabatic, traj.purity, fr.theta, fr.phi, fr.lam[:, 1:],
-        fr.omega_p, fr.omega_c, fr.delta, fr.floor_engaged])
+    rho = np.ascontiguousarray(traj.rho, dtype=complex).view(float)
+    parts = [traj.times[:, None], rho.reshape(n, 18), traj.pops_adiabatic,
+             traj.purity[:, None], fr.theta[:, None], fr.phi[:, None],
+             fr.lam[:, 1:], fr.omega_p[:, None], fr.omega_c[:, None],
+             fr.delta[:, None], fr.floor_engaged[:, None]]
+    block = np.empty((_BLOCK_ROWS, len(TABLE_COLUMNS)))
     partial = f"{path}.{os.getpid()}.tmp"
     try:
-        np.savetxt(partial, data, fmt=["%.17g"] * 30 + ["%d"], delimiter=",",
-                   header=",".join(TABLE_COLUMNS), comments="",
-                   encoding="utf-8")
+        with open(partial, "wb") as fh:
+            fh.write((",".join(TABLE_COLUMNS) + "\n").encode("utf-8"))
+            for start in range(0, n, _BLOCK_ROWS):
+                rows = block[:min(_BLOCK_ROWS, n - start)]
+                np.concatenate([part[start:start + len(rows)]
+                                for part in parts], axis=1, out=rows)
+                fh.write(_format_rows(rows))
         os.replace(partial, path)
     except OSError as exc:
         raise OSError(f"failed to write trajectory table {path!r}: {exc}") \
@@ -483,12 +504,146 @@ def emit_table(traj: Trajectory, path: str) -> None:
             os.remove(partial)
 
 
-def load_table(path: str) -> dict:
-    """Read a table written by emit_table; returns column-name -> array."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    with open(path, encoding="utf-8") as fh:
-        names = fh.readline().strip().split(",")
-    return {name: data[:, k] for k, name in enumerate(names)}
+# Each value is laid out in a 48-byte field, six uint64 words:
+#   byte 0 sign, 1-2 "0.", 3-5 "000", then d0 and a point, then
+#   d1 . d2 . ... d16 . (a candidate point after every digit),
+#   40 "e", 41 exponent sign, 42-44 exponent digits, 45 delimiter, 46-47 pad.
+# A keep-mask per (sign, layout, digits kept) zeroes the bytes the %g form
+# drops, and the zero bytes are then deleted.  Layouts 0-20 are the fixed
+# forms of exponents -4..16, 21 and 22 the e-forms with two and three
+# exponent digits.  "Digits kept" is 0 for a value left to the per-value
+# path, which keeps only its delimiter.
+_K_MIN, _K_MAX = -282, 292   # decimal exponents with a power-of-ten entry
+_TABLES = None               # _DigitTables, built with the first table
+
+
+class _DigitTables:
+    """The lookup tables of `_format_rows`."""
+
+    def __init__(self):
+        ks = np.arange(_K_MIN, _K_MAX + 1)
+        # 10^(16-k) as hi + lo, and hi split in halves for Dekker's product
+        powers = np.empty((ks.size, 4))
+        for row, k in zip(powers, ks.tolist()):
+            num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+            hi = num / den                      # correctly rounded
+            n, d = hi.as_integer_ratio()
+            lo = (num * d - n * den) / (den * d)
+            c = 134217729.0 * hi
+            row[:] = hi, lo, c - (c - hi), hi - (c - (c - hi))
+        self.powers = tuple(np.ascontiguousarray(powers.T))
+        # 4-digit groups as "d.d.d.d.", and, for group j = 0..3 of the 16
+        # digits after d0, the digits kept up to its last nonzero one
+        # (0 for a zero group)
+        groups = np.arange(10000)
+        digits = groups[:, None] // np.array([1000, 100, 10, 1]) % 10
+        text = np.full((10000, 8), ord("."), np.uint8)
+        text[:, ::2] = digits + ord("0")
+        self.groups = text.view(np.uint64).ravel()
+        last = 4 - np.argmax(digits[:, ::-1] != 0, axis=1)
+        self.counts = np.where(groups > 0,
+                               last + 1 + 4 * np.arange(4)[:, None],
+                               0).astype(np.uint8).ravel()
+        self.leads = np.frombuffer(
+            b"".join(b"-0.000%d." % d for d in range(10)), np.uint64)
+        mag = np.abs(ks)
+        expo = np.zeros((ks.size, 8), np.uint8)
+        expo[:, :5] = np.column_stack([
+            np.full(ks.size, ord("e")), np.where(ks < 0, ord("-"), ord("+")),
+            mag // 100 + 48, mag // 10 % 10 + 48, mag % 10 + 48])
+        self.exponents = expo.view(np.uint64).ravel()
+        layout = np.where((ks >= -4) & (ks <= 16), ks + 4,
+                          np.where(mag < 100, 21, 22))
+        self.layout_base = layout * 18
+        # keep-masks, indexed by (sign * 23 + layout) * 18 + digits kept
+        lay = np.arange(23)[:, None, None]
+        count = np.arange(18)[:, None]
+        pos = np.arange(48)
+        k = lay - 4
+        whole = np.where((lay >= 4) & (lay <= 20), k + 1, 1)  # integer digits
+        keep = ((pos >= 6) & (pos % 2 == 0)
+                & (pos < 6 + 2 * np.maximum(count, whole)))
+        keep |= (lay >= 4) & (pos == 5 + 2 * whole) & (count > whole)
+        keep |= (lay < 4) & (pos >= 1) & (pos < 2 - k)
+        keep |= (lay >= 21) & (pos >= 40) & (pos <= 44) \
+            & ((pos != 42) | (lay == 22))
+        keep &= count > 0
+        keep = np.stack([keep, keep | ((pos == 0) & (count > 0))])
+        keep |= pos == 45
+        self.masks = (keep * np.uint8(255)).view(np.uint64).reshape(-1, 6)
+        delim = np.zeros((2, 8), np.uint8)
+        delim[:, 5] = ord(","), ord("\n")
+        self.comma, self.newline = delim.view(np.uint64).ravel()
+
+
+def _scaled(ax, k, powers):
+    """round(ax * 10^(16-k)) as int64, and ax * 10^(16-k) minus it."""
+    hi, lo, hi_h, hi_l = (col.take(k - _K_MIN) for col in powers)
+    c = 134217729.0 * ax                       # Veltkamp split of ax
+    ax_h = c - (c - ax)
+    ax_l = ax - ax_h
+    p = ax * hi                                # p + e = ax * (hi + lo)
+    e = ((ax_h * hi_h - p) + ax_h * hi_l + ax_l * hi_h) + ax_l * hi_l
+    e += ax * lo
+    r = np.rint(e)
+    return p.astype(np.int64) + r.astype(np.int64), e - r
+
+
+def _format_rows(rows: np.ndarray) -> bytes:
+    """Bytes of a 2-D float block as ``'%.17g'`` writes each value, values
+    of a row joined by commas, each row ended by a newline."""
+    global _TABLES
+    if _TABLES is None:
+        _TABLES = _DigitTables()
+    tab = _TABLES
+    x = rows.ravel()
+    ax = np.abs(x)
+    fast = (ax >= 1e-280) & (ax <= 1e290)
+    k = np.floor(np.log10(np.where(fast, ax, 1.0))).astype(np.int64)
+    ax = np.where(fast, ax, 0.0)                # zeros give digits 0
+    digits, rest = _scaled(ax, k, tab.powers)
+    slow = np.abs(rest) > 0.5 - 1e-6
+    # floor(log10) can miss by one, and rounding can carry to 10^17
+    off = fast & ((digits < 10 ** 16) | (digits >= 10 ** 17)
+                  | ((digits == 10 ** 16) & (rest < 0)))
+    if off.any():
+        i = np.flatnonzero(off)
+        k[i] += np.where(digits[i] >= 10 ** 17, 1, -1)
+        digits[i], rest = _scaled(ax[i], k[i], tab.powers)
+        slow[i] |= ((np.abs(rest) > 0.5 - 1e-6) | (digits[i] < 10 ** 16)
+                    | (digits[i] >= 10 ** 17))
+    slow |= ~fast & (x != 0)
+    digits[slow] = 0
+    d0, r = np.divmod(digits, 10 ** 16)
+    g1, r = np.divmod(r, 10 ** 12)
+    g2, r = np.divmod(r, 10 ** 8)
+    g3, g4 = np.divmod(r, 10 ** 4)
+    count = np.maximum(tab.counts[g1], tab.counts[g2 + 10000])
+    np.maximum(count, tab.counts[g3 + 20000], out=count)
+    np.maximum(count, tab.counts[g4 + 30000], out=count)
+    np.maximum(count, 1, out=count)
+    count[slow] = 0
+    k -= _K_MIN
+    index = tab.layout_base[k] + count + np.signbit(x) * (23 * 18)
+    words = tab.masks.take(index, axis=0)
+    words[:, 0] &= tab.leads[d0]
+    for j, g in enumerate((g1, g2, g3, g4), start=1):
+        words[:, j] &= tab.groups[g]
+    delim = np.full(rows.shape[1], tab.comma)
+    delim[-1] = tab.newline
+    tail = words.reshape(rows.shape + (6,))[..., 5]
+    tail &= tab.exponents[k].reshape(rows.shape) | delim
+    text = words.tobytes().translate(None, b"\0")
+    if not slow.any():
+        return text
+    ends = np.cumsum(np.count_nonzero(words.view(np.uint8).reshape(-1, 48),
+                                      axis=1))
+    pieces, done = [], 0
+    for i in np.flatnonzero(slow).tolist():
+        start = int(ends[i]) - 1                # the value's delimiter
+        pieces += [text[done:start], b"%.17g" % x[i]]
+        done = start
+    return b"".join(pieces + [text[done:]])
 
 
 # --- command line ------------------------------------------------------------

@@ -52,6 +52,8 @@ HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
 PURITY_TOL = 1e-10
 
+_DEFAULT_REL_TOL = 1e-9
+
 METHODS = ("adaptive_rk", "expm_oracle")
 BASES = ("bare", "adiabatic")
 _ORACLE_BLOCK = 128   # slices per batched expm call; bounds peak memory
@@ -68,7 +70,7 @@ class PropagatorSettings:
     slice count, each checked here."""
 
     method: str = "adaptive_rk"       # one of METHODS
-    rel_tol: float = 1e-9
+    rel_tol: float = _DEFAULT_REL_TOL
     abs_tol: float = 1e-11
     n_slices: int = 4000              # expm_oracle slice count
     basis: str = "bare"               # one of BASES
@@ -305,9 +307,23 @@ def _validate_initial(rho0: np.ndarray, name: str) -> np.ndarray:
     return rho0
 
 
-def _assemble(rho, fr: adiabatic.AdiabaticFrame) -> Trajectory:
+def _invariant_margins(settings: PropagatorSettings) -> tuple:
+    """How far `_assemble` lets populations go below 0 and purity leave
+    [1/3, 1]: ten times POSITIVITY_TOL and PURITY_TOL, scaled by
+    rel_tol / 1e-9 where the adaptive method runs above its default
+    rel_tol of 1e-9, since its error, and these drifts with it, grow with
+    rel_tol.  At the default and tighter tolerances, and for the oracle,
+    which has no rel_tol, they are the fixed margins."""
+    scale = 1.0
+    if settings.method == "adaptive_rk":
+        scale = max(1.0, settings.rel_tol / _DEFAULT_REL_TOL)
+    return 10 * POSITIVITY_TOL * scale, 10 * PURITY_TOL * scale
+
+
+def _assemble(rho, fr: adiabatic.AdiabaticFrame,
+              margins: tuple) -> Trajectory:
     """Build a Trajectory from bare-basis samples at the frame's times,
-    checking invariants."""
+    checking invariants; `margins` are `_invariant_margins`."""
     u = fr.U
     ud = u.conj().swapaxes(-1, -2)
     big_r = ud @ rho @ u
@@ -321,10 +337,11 @@ def _assemble(rho, fr: adiabatic.AdiabaticFrame) -> Trajectory:
         raise PropagationError(f"trace drifted by {trace_err:.3e}")
     if herm_err > 10 * HERMITICITY_TOL:
         raise PropagationError(f"hermiticity violated by {herm_err:.3e}")
-    if eigmin < -10 * POSITIVITY_TOL:
+    positivity, purity_margin = margins
+    if eigmin < -positivity:
         raise PropagationError(f"negative population {eigmin:.3e}")
-    if purity.max() > 1.0 + 10 * PURITY_TOL \
-            or purity.min() < 1.0 / 3.0 - 10 * PURITY_TOL:
+    if purity.max() > 1.0 + purity_margin \
+            or purity.min() < 1.0 / 3.0 - purity_margin:
         raise PropagationError("purity left [1/3, 1]")
 
     return Trajectory(
@@ -575,7 +592,7 @@ def propagate(config: Configuration, rates: RateSet, schedule: PulseSchedule,
     rho = unpack(ys)
     if settings.basis == "adiabatic":
         rho = fr.U @ rho @ fr.U.conj().swapaxes(-1, -2)
-    return _assemble(rho, fr)
+    return _assemble(rho, fr, _invariant_margins(settings))
 
 
 def closed_system_solution(frame: adiabatic.AdiabaticFrame, R0: np.ndarray,

@@ -1,3 +1,4 @@
+import io
 import os
 import pathlib
 import shlex
@@ -6,12 +7,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import threelevel
 from threelevel.cli import (BUILTINS, ConfigError, ScenarioConfig,
-                            TABLE_COLUMNS, _build_parser, build_config,
-                            emit_table,
-                            load_config, load_table, main, parse_config_text,
+                            TABLE_COLUMNS, _build_parser, _format_rows,
+                            _points, build_config, emit_table,
+                            load_config, main, parse_config_text,
                             run_scenario, run_sweep, run_trajectory,
                             summarize)
 from threelevel.dissipation import Configuration, derived_rates
@@ -23,6 +25,35 @@ ONE_SLICE = ("scenario = one_slice\nrates.gamma1 = 0.5\nrates.gamma2 = 0.5\n"
              "rates.gamma2_deph = 0.01\npulses.peak_omega = 50.0\n"
              "detuning.delta0 = 400.0\noutput.samples = 2\n"
              "propagator.method = expm_oracle\npropagator.n_slices = 1\n")
+
+
+def load_table(path: str) -> dict:
+    """Read a table written by emit_table; returns column-name -> array."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    with open(path, encoding="utf-8") as fh:
+        names = fh.readline().strip().split(",")
+    return {name: data[:, k] for k, name in enumerate(names)}
+
+
+def printf_rows(rows) -> bytes:
+    """The reference: each value through Python's '%.17g'."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n"
+                   for row in np.asarray(rows).tolist()).encode("ascii")
+
+
+def savetxt_table(traj) -> bytes:
+    """The table as np.savetxt writes it from the trajectory's arrays."""
+    fr = traj.frame
+    rho = [part(traj.rho[:, i, j]) for i in range(3) for j in range(3)
+           for part in (np.real, np.imag)]
+    rows = np.column_stack([
+        traj.times, *rho, traj.pops_adiabatic, traj.purity, fr.theta,
+        fr.phi, fr.lam[:, 1], fr.lam[:, 2], fr.omega_p, fr.omega_c,
+        fr.delta, fr.floor_engaged])
+    out = io.BytesIO()
+    np.savetxt(out, rows, fmt=["%.17g"] * 30 + ["%d"], delimiter=",",
+               header=",".join(TABLE_COLUMNS), comments="")
+    return out.getvalue()
 
 
 class TestConfigParsing:
@@ -179,13 +210,17 @@ class TestEmitTable:
         no partial file behind."""
         cfg, record = self.make_record(tmp_path)
         before = pathlib.Path(record.table_path).read_bytes()
+        written = []
 
-        def fail_midway(fname, *args, **kwargs):
-            with open(fname, "w", encoding="utf-8") as fh:
-                fh.write("t,rho11_re\n0.5,")
-            raise OSError("device full")
+        def fail_after_first_block(rows):
+            if written:
+                raise OSError("device full")
+            written.append(len(rows))
+            return _format_rows(rows)
 
-        monkeypatch.setattr(np, "savetxt", fail_midway)
+        monkeypatch.setattr(threelevel.cli, "_BLOCK_ROWS", 8)
+        monkeypatch.setattr(threelevel.cli, "_format_rows",
+                            fail_after_first_block)
         with pytest.raises(OSError):
             emit_table(run_trajectory(cfg), record.table_path)
         assert pathlib.Path(record.table_path).read_bytes() == before
@@ -200,6 +235,62 @@ class TestEmitTable:
         with pytest.raises(OSError) as err:
             emit_table(traj, missing)
         assert "t.csv" in str(err.value)
+
+
+class TestTableFormat:
+    """Every value gives exactly the bytes of C's '%.17g'."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=300),
+           st.integers(1, 7))
+    def test_any_double(self, values, width):
+        rows = np.array(values[:max(1, len(values) // width * width)])
+        rows = rows.reshape(-1, min(width, rows.size))
+        assert _format_rows(rows) == printf_rows(rows)
+
+    def test_random_bit_patterns(self):
+        """10^6 seeded 64-bit patterns: every exponent, subnormals, both
+        zeros, infinities and NaNs."""
+        rng = np.random.default_rng(20261018)
+        for _ in range(10):
+            bits = rng.integers(0, 2 ** 64, size=(5000, 20), dtype=np.uint64)
+            rows = bits.view(np.float64)
+            assert _format_rows(rows) == printf_rows(rows)
+
+    @pytest.mark.parametrize("value, text", [
+        (1 + 2 ** -17, "1.0000076293945312"),
+        (1 + 3 * 2 ** -17, "1.0000228881835938"),
+        (3 / 2 ** 24, "1.7881393432617188e-07"),
+        (5 / 2 ** 24, "2.9802322387695312e-07"),
+        (1 / 2 ** 25, "2.9802322387695312e-08"),
+    ])
+    def test_exact_ties_round_half_even(self, value, text):
+        """The 18th significant digit is an exact 5: half-even rounding."""
+        rows = np.array([[value, -value]])
+        assert _format_rows(rows) == f"{text},-{text}\n".encode()
+        assert _format_rows(rows) == printf_rows(rows)
+
+    @pytest.mark.parametrize("value", [1e-5, 9.9999999999999991e-05, 1e-4,
+                                       1e16, 1e17, 0.0, 1.0, 1e100, 1e-100])
+    def test_g_switch_points(self, value):
+        """Fixed notation for exponents -4..16, e-notation outside, two
+        exponent digits below 100, and the neighbours of each switch."""
+        near = [value]
+        for _ in range(3):
+            near = np.concatenate([near, np.nextafter(near, np.inf),
+                                   np.nextafter(near, -np.inf)])
+        rows = np.concatenate([near, -near]).reshape(-1, 1)
+        assert _format_rows(rows) == printf_rows(rows)
+
+    @pytest.mark.parametrize("basis", ["bare", "adiabatic"])
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_builtin_tables_match_savetxt(self, tmp_path, name, basis):
+        cfg = load_config(name, {"propagator.basis": basis})
+        for scenario_id, point, schedule in _points(cfg):
+            traj = run_trajectory(point, schedule)
+            path = tmp_path / f"{scenario_id}.csv"
+            emit_table(traj, str(path))
+            assert path.read_bytes() == savetxt_table(traj)
 
 
 class TestRunScenario:
@@ -533,6 +624,21 @@ class TestMainEntry:
         assert main(["--out-dir", str(fresh), "--samples", "20",
                      "run", "hadamard_hold"]) == 0
         assert (fresh / "hadamard_hold.csv").is_file()
+
+    def test_loose_tolerance_sweep_exits_0(self, tmp_path, capsys):
+        """A tolerance that validate accepts does not fail the invariant
+        checks at run time: at rel_tol 1e-7 the closed-system purity at
+        delta = 100 exceeds 1 by about 1.4e-9, within the margins scaled
+        to that tolerance."""
+        cfg = tmp_path / "probe.cfg"
+        cfg.write_text("scenario = probe\noutput.samples = 30\n"
+                       "propagator.rel_tol = 1e-7\n"
+                       "sweep.detuning.delta0 = 100, 200, 300\n",
+                       encoding="utf-8")
+        assert main(["validate", str(cfg)]) == 0
+        assert main(["--out-dir", str(tmp_path), "sweep", str(cfg)]) == 0
+        assert "FAILED" not in capsys.readouterr().out
+        assert len(list(tmp_path.glob("probe__*.csv"))) == 3
 
     def test_swept_base_value_not_checked(self, tmp_path, capsys):
         """A base value that every sweep point replaces is not a point of

@@ -629,6 +629,19 @@ class TestTrajectoryInvariants:
         with pytest.raises(ValueError):
             PropagatorSettings(basis="dressed")
 
+    def test_invariant_margins(self):
+        """Ten times the fixed tolerances at the default rel_tol, at any
+        tighter one and for the oracle; scaled with a looser rel_tol."""
+        fixed = (10 * evolution.POSITIVITY_TOL, 10 * evolution.PURITY_TOL)
+        assert fixed == (1e-7, 1e-9)
+        for settings in (PropagatorSettings(), TIGHT,
+                         PropagatorSettings(rel_tol=1e-13),
+                         oracle(4000), replace(oracle(4000), rel_tol=1e-6)):
+            assert evolution._invariant_margins(settings) == fixed
+        assert evolution._invariant_margins(
+            PropagatorSettings(rel_tol=1e-7)) == pytest.approx(
+                (100 * fixed[0], 100 * fixed[1]), rel=1e-15)
+
     @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_settings_reject_non_finite_tolerance(self, name, value):
