@@ -8,8 +8,8 @@ Time-series tables are written next to this script's working directory.
 
 import numpy as np
 
-from threelevel import (Configuration, PropagatorSettings, RateSet,
-                        make_stirap_schedule, propagate)
+from threelevel import (Configuration, DetuningSchedule, PropagatorSettings,
+                        RateSet, make_stirap_schedule, propagate)
 from threelevel.cli import emit_table
 
 rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.01)  # gc*T = 0.005
@@ -18,7 +18,8 @@ settings = PropagatorSettings()
 
 for ordering, rider in (("counterintuitive", "dark state"),
                         ("intuitive", "bright state")):
-    schedule = make_stirap_schedule(100.0, 1000.0, 1.0, ordering)
+    schedule = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0),
+                                    1.0, ordering)
     traj = propagate(Configuration.LAMBDA, rates, schedule, rho0,
                      settings, samples=1000)
     print(f"\n{ordering} ordering (transfer rides the {rider}):")

@@ -24,11 +24,12 @@ omega = math.hypot(100.0, 100.0)
 
 shaped = DetuningSchedule(kind="shaped", delta0=1000.0 / omega,
                           gamma1=der.Gamma1, t0=0.0)
-s_shaped = make_stirap_schedule(100.0, 0.0, 1.0, "static", detuning=shaped)
+s_shaped = make_stirap_schedule(100.0, shaped, 1.0, "static")
 
 grid = np.linspace(0.0, 1.0, 2001)
 mean_delta = float(np.trapezoid(s_shaped.delta(grid)[0], grid))
-s_const = make_stirap_schedule(100.0, mean_delta, 1.0, "static")
+s_const = make_stirap_schedule(100.0, DetuningSchedule(delta0=mean_delta), 1.0,
+                               "static")
 
 bright = np.diag([0.0, 1.0, 0.0]).astype(complex)
 settings = PropagatorSettings(rel_tol=1e-10, abs_tol=1e-12, basis="adiabatic")

@@ -9,13 +9,14 @@ optical linewidths here.
 
 import numpy as np
 
-from threelevel import (Configuration, PropagatorSettings, RateSet,
-                        derived_rates, hadamard_fidelity,
+from threelevel import (Configuration, DetuningSchedule, PropagatorSettings,
+                        RateSet, derived_rates, hadamard_fidelity,
                         make_stirap_schedule, propagate)
 
 rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.1)  # gc*T = 0.05
 der = derived_rates(Configuration.LAMBDA, rates)
-schedule = make_stirap_schedule(100.0, 1000.0, 1.0, "static")
+schedule = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                "static")
 
 psi = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
 rho0 = np.outer(psi, psi.conj())

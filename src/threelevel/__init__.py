@@ -1,8 +1,8 @@
 """Dissipative three-level dynamics in the bare and dressed bases."""
 
-from .adiabatic import AdiabaticFrame, angles, frame, hamiltonian, rotation
+from .adiabatic import AdiabaticFrame, angles, frame, rotation
 from .analysis import (QuadratureEstimate, StabilityReport,
-                       compare_analytic_numeric, hadamard_fidelity, purity,
+                       compare_analytic_numeric, hadamard_fidelity,
                        quadrature_solution, stability_report)
 from .dissipation import (Configuration, DerivedRates, RateSet,
                           derived_rates, dissipator, ketbra, lindblad_ops)

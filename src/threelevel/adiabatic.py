@@ -29,10 +29,11 @@ defined as F = U^dag dU/dt, which is real antisymmetric with
 
 These formulas live once, in the elementwise numpy kernels `angles` and
 `rotation`.  `frame` evaluates them on a schedule at a scalar time or on a
-grid.  `phasors` gives the same frame with exp(2i theta) and exp(i phi) in
-place of the angles, without transcendental functions; the dressed
-generator kernel of `evolution` weights its block table with it on the
-stage times of each integrator step.
+grid; it holds theta', phi and phi', which fix F.  `phasors` gives the
+same frame with exp(2i theta) and exp(i phi) in place of the angles,
+without transcendental functions; the dressed generator kernel of
+`evolution` weights its block table with it on the stage times of each
+integrator step.
 """
 
 from dataclasses import dataclass
@@ -45,8 +46,8 @@ from .pulses import PulseSchedule
 @dataclass(frozen=True)
 class AdiabaticFrame:
     """Dressed frame on a time grid of shape s; a scalar time gives s = ().
-    U and F have real entries in complex dtype, like the density matrices
-    they transform."""
+    U has real entries in complex dtype, like the density matrices it
+    transforms."""
 
     t: np.ndarray              # s
     theta: np.ndarray          # s
@@ -55,22 +56,10 @@ class AdiabaticFrame:
     phi_dot: np.ndarray        # s
     lam: np.ndarray            # s + (3,): (0, lam2, lam3)
     U: np.ndarray              # s + (3, 3), columns |lam1>, |lam2>, |lam3>
-    F: np.ndarray              # s + (3, 3), U^dag dU/dt
     omega_p: np.ndarray        # s
     omega_c: np.ndarray        # s
     delta: np.ndarray          # s
     floor_engaged: np.ndarray  # s, bool
-
-
-def hamiltonian(schedule: PulseSchedule, t: float) -> np.ndarray:
-    """Rotating-frame Hamiltonian at time t (Hermitian, complex dtype)."""
-    sample = schedule.rabi(t)
-    delta, _ = schedule.delta(t)
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 2] = h[2, 0] = sample.omega_p
-    h[1, 2] = h[2, 1] = sample.omega_c
-    h[2, 2] = delta
-    return h
 
 
 def angles(op, oc, dop, doc, omega, domega, delta, ddelta):
@@ -126,23 +115,16 @@ def rotation(theta, phi):
             0.0, -sp, cp)
 
 
-def _matrices(entries, shape) -> np.ndarray:
-    """Complex 3x3 matrices of the given batch shape from nine row-major
-    entries, each broadcast to that shape."""
-    stacked = np.stack([np.broadcast_to(e, shape) for e in entries], axis=-1)
-    return stacked.reshape(shape + (3, 3)).astype(complex)
-
-
 def frame(schedule: PulseSchedule, t) -> AdiabaticFrame:
-    """The dressed frame (angles, rates, quasienergies, U, F and the drive
+    """The dressed frame (angles, rates, quasienergies, U and the drive
     values) at a time or on a grid of times."""
     t = np.asarray(t, dtype=float)
     sample = schedule.rabi(t)
     delta, ddelta = schedule.delta(t)
     theta, phi, theta_dot, phi_dot, lam2, lam3 = angles(*sample[:6], delta,
                                                         ddelta)
-    u = rotation(theta, phi)
-    f12, f13 = theta_dot * u[8], -theta_dot * u[7]   # theta' cos, theta' sin
+    u = np.stack([np.broadcast_to(e, t.shape) for e in rotation(theta, phi)],
+                 axis=-1)
     return AdiabaticFrame(
         t=t,
         theta=theta,
@@ -150,9 +132,7 @@ def frame(schedule: PulseSchedule, t) -> AdiabaticFrame:
         theta_dot=theta_dot,
         phi_dot=phi_dot,
         lam=np.stack([np.zeros_like(lam2), lam2, lam3], axis=-1),
-        U=_matrices(u, t.shape),
-        F=_matrices((0.0, f12, f13, -f12, 0.0, phi_dot, -f13, -phi_dot, 0.0),
-                    t.shape),
+        U=u.reshape(t.shape + (3, 3)).astype(complex),
         omega_p=np.asarray(sample.omega_p, dtype=float),
         omega_c=np.asarray(sample.omega_c, dtype=float),
         delta=np.asarray(delta, dtype=float),

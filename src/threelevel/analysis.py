@@ -59,7 +59,6 @@ class StabilityReport:
     adiab1: float                # T * sqrt(Delta^2 + 4 Omega^2)
     adiab2: float                # Omega^2 T / Delta
     gamma1_over_delta: float
-    delta_positive: bool
     omega_peak: float
     delta_at_peak: float
     verdicts: dict = field(default_factory=dict)
@@ -67,13 +66,6 @@ class StabilityReport:
     @property
     def all_pass(self) -> bool:
         return all(v for v in self.verdicts.values() if v is not None)
-
-
-def purity(rho: np.ndarray) -> float:
-    """Tr(rho^2); 1 for pure states, 1/3 for the maximally mixed state."""
-    rho = np.asarray(rho)
-    value = np.trace(rho @ rho)
-    return float(value.real)
 
 
 def _cumulative_trapezoid(y, x):
@@ -200,7 +192,6 @@ def stability_report(config, rates,
 
     gc_T = derived.gamma_c * T
     adiab1 = T * math.hypot(delta_peak, 2.0 * omega_peak)
-    delta_positive = delta_peak > 0.0
     if delta_peak > 0.0:
         adiab2 = omega_peak ** 2 * T / delta_peak
         g1_over_delta = derived.Gamma1 / delta_peak
@@ -221,7 +212,6 @@ def stability_report(config, rates,
     }
     return StabilityReport(gc_T=gc_T, adiab1=adiab1, adiab2=adiab2,
                            gamma1_over_delta=g1_over_delta,
-                           delta_positive=delta_positive,
                            omega_peak=omega_peak, delta_at_peak=delta_peak,
                            verdicts=verdicts)
 

@@ -22,7 +22,8 @@ with flags, given before the subcommand, --out-dir (default from
 THREELEVEL_OUT_DIR or cwd), --workers, and --samples, --method, --tol,
 which are shorthand for config keys (`_flag_keys`), so a config is built
 and checked once.  `run` refuses a config with sweep axes.  Exit codes:
-0 success, 2 config error, 3 numerical failure of any point, which is
+0 success, 2 config error (a config file that cannot be read included),
+3 failure of any point, numerical or in writing its table, which is
 reported as ``[id] FAILED: <message>``.
 """
 
@@ -246,8 +247,12 @@ def load_config(source: str, keys: dict = None) -> ScenarioConfig:
         raise ConfigError({"config": f"{source!r} is both a file and a "
                            f"builtin; write './{source}' for the file"})
     if os.path.exists(source):
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError({"config": f"cannot read {source!r}: {exc}"}) \
+                from exc
     elif source in BUILTINS:
         text = BUILTINS[source]
     else:
@@ -325,9 +330,8 @@ _BUILTIN_BLURBS = {
 # --- execution ---------------------------------------------------------------
 
 def build_schedule(cfg: ScenarioConfig):
-    return make_stirap_schedule(cfg.peak_omega, cfg.detuning.delta0,
-                                cfg.horizon, cfg.ordering, width=cfg.width,
-                                delay=cfg.delay, detuning=cfg.detuning)
+    return make_stirap_schedule(cfg.peak_omega, cfg.detuning, cfg.horizon,
+                                cfg.ordering, width=cfg.width, delay=cfg.delay)
 
 
 def run_trajectory(cfg: ScenarioConfig, schedule=None) -> Trajectory:
@@ -362,16 +366,15 @@ def _flat_params(cfg: ScenarioConfig) -> dict:
 
 
 def summarize(traj: Trajectory) -> dict:
+    bare = traj.pops_bare[-1].tolist()
+    dressed = traj.pops_adiabatic[-1].tolist()
+    purity = traj.purity
     return {
-        "final_pop_bare_1": float(traj.pops_bare[-1, 0]),
-        "final_pop_bare_2": float(traj.pops_bare[-1, 1]),
-        "final_pop_bare_3": float(traj.pops_bare[-1, 2]),
-        "final_pop_adiabatic_1": float(traj.pops_adiabatic[-1, 0]),
-        "final_pop_adiabatic_2": float(traj.pops_adiabatic[-1, 1]),
-        "final_pop_adiabatic_3": float(traj.pops_adiabatic[-1, 2]),
-        "purity_min": float(traj.purity.min()),
-        "purity_final": float(traj.purity[-1]),
-        "transfer_efficiency": float(traj.pops_bare[-1, 1]),
+        **{f"final_pop_bare_{k + 1}": bare[k] for k in range(3)},
+        **{f"final_pop_adiabatic_{k + 1}": dressed[k] for k in range(3)},
+        "purity_min": float(purity.min()),
+        "purity_final": float(purity[-1]),
+        "transfer_efficiency": bare[1],
     }
 
 
@@ -427,15 +430,15 @@ def _points(cfg: ScenarioConfig) -> list:
 
 def run_sweep(cfg: ScenarioConfig, out_dir: str, workers: int = 1) -> list:
     """Run every point of the config (one, without sweep axes); records are
-    ordered by grid index, and a point that fails numerically is recorded
-    without aborting the others."""
+    ordered by grid index, and a point that fails numerically, or whose
+    table cannot be written, is recorded without aborting the others."""
     points = _points(cfg)
 
     def one(item):
         scenario_id, point, schedule = item
         try:
             return run_scenario(point, out_dir, scenario_id, schedule)
-        except (PropagationError, ValueError, OverflowError) as exc:
+        except (PropagationError, ValueError, OverflowError, OSError) as exc:
             return RunRecord(scenario_id=scenario_id,
                              params=_flat_params(point), table_path="",
                              stability=None, summary={}, error=str(exc))

@@ -101,18 +101,35 @@ class PropagatorSettings:
 class Trajectory:
     """Sampled density-matrix history with per-sample diagnostics.  The
     dressed frame at the sample times (angles, quasienergies, U, drive
-    values, floor flags) is `frame`; `times` is its `t`, the same array."""
+    values, floor flags) is `frame`; `times`, the populations and the
+    purity are read off it, `rho` and `R`."""
 
-    times: np.ndarray            # (n,)
     rho: np.ndarray              # (n, 3, 3) bare basis
     R: np.ndarray                # (n, 3, 3) dressed basis
-    purity: np.ndarray           # (n,)
-    pops_bare: np.ndarray        # (n, 3)
-    pops_adiabatic: np.ndarray   # (n, 3)
     frame: adiabatic.AdiabaticFrame
     trace_err_max: float
     hermiticity_err_max: float
     min_eigenvalue: float
+
+    @property
+    def times(self) -> np.ndarray:
+        """(n,) sample times, the frame's `t`."""
+        return self.frame.t
+
+    @property
+    def pops_bare(self) -> np.ndarray:
+        """(n, 3) diagonal of `rho`."""
+        return np.stack([self.rho[:, k, k].real for k in range(3)], axis=-1)
+
+    @property
+    def pops_adiabatic(self) -> np.ndarray:
+        """(n, 3) diagonal of `R`."""
+        return np.stack([self.R[:, k, k].real for k in range(3)], axis=-1)
+
+    @property
+    def purity(self) -> np.ndarray:
+        """(n,) Tr(rho^2): 1 for a pure state, 1/3 for the mixed one."""
+        return np.einsum("nij,nji->n", self.rho, self.rho).real
 
 
 # --- real 9-vector representation -----------------------------------------
@@ -324,14 +341,14 @@ def _assemble(rho, fr: adiabatic.AdiabaticFrame,
               margins: tuple) -> Trajectory:
     """Build a Trajectory from bare-basis samples at the frame's times,
     checking invariants; `margins` are `_invariant_margins`."""
-    u = fr.U
-    ud = u.conj().swapaxes(-1, -2)
-    big_r = ud @ rho @ u
     traces = np.einsum("nii->n", rho).real
-    herm_err = np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))
-    eigmin = float(np.linalg.eigvalsh(rho).min())
-    purity = np.einsum("nij,nji->n", rho, rho).real
     trace_err = float(np.max(np.abs(traces - 1.0)))
+    herm_err = float(np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))))
+    eigmin = float(np.linalg.eigvalsh(rho).min())
+    traj = Trajectory(rho=rho, R=fr.U.conj().swapaxes(-1, -2) @ rho @ fr.U,
+                      frame=fr, trace_err_max=trace_err,
+                      hermiticity_err_max=herm_err, min_eigenvalue=eigmin)
+    purity = traj.purity
 
     if trace_err > 10 * TRACE_TOL:
         raise PropagationError(f"trace drifted by {trace_err:.3e}")
@@ -343,20 +360,7 @@ def _assemble(rho, fr: adiabatic.AdiabaticFrame,
     if purity.max() > 1.0 + purity_margin \
             or purity.min() < 1.0 / 3.0 - purity_margin:
         raise PropagationError("purity left [1/3, 1]")
-
-    return Trajectory(
-        times=fr.t,
-        rho=rho,
-        R=big_r,
-        purity=purity,
-        pops_bare=np.stack([rho[:, k, k].real for k in range(3)], axis=-1),
-        pops_adiabatic=np.stack([big_r[:, k, k].real for k in range(3)],
-                                axis=-1),
-        frame=fr,
-        trace_err_max=trace_err,
-        hermiticity_err_max=float(herm_err),
-        min_eigenvalue=eigmin,
-    )
+    return traj
 
 
 # --- integration backends --------------------------------------------------

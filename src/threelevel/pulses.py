@@ -50,9 +50,6 @@ class GaussianPulse:
         u = (np.asarray(t, dtype=float) - self.center) / self.width
         return self.peak * np.exp(-u * u)
 
-    def derivative(self, t):
-        return self.sample(t)[1]
-
     def sample(self, t):
         """Value and derivative, from one exponential."""
         u = (np.asarray(t, dtype=float) - self.center) / self.width
@@ -74,11 +71,9 @@ class ConstantPulse:
     def value(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.level)
 
-    def derivative(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
     def sample(self, t):
-        return self.value(t), self.derivative(t)
+        """Value and derivative."""
+        return self.value(t), np.zeros_like(np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -97,6 +92,7 @@ class ThetaLawPulse:
     component: str
 
     def __post_init__(self):
+        _check_finite(gamma_c=self.gamma_c, t0=self.t0, omega=self.omega)
         if not 0.0 < self.theta0 < math.pi / 4:
             raise ValueError("theta0 must lie strictly between 0 and pi/4")
         if self.component not in ("sin", "cos"):
@@ -111,15 +107,13 @@ class ThetaLawPulse:
         th = self.theta(t)
         return self.omega * (np.sin(th) if self.component == "sin" else np.cos(th))
 
-    def derivative(self, t):
+    def sample(self, t):
+        """Value and derivative, from one evaluation of theta."""
         th = self.theta(t)
         dth = 0.25 * self.gamma_c * np.sin(4.0 * th)
         if self.component == "sin":
-            return self.omega * np.cos(th) * dth
-        return -self.omega * np.sin(th) * dth
-
-    def sample(self, t):
-        return self.value(t), self.derivative(t)
+            return self.omega * np.sin(th), self.omega * np.cos(th) * dth
+        return self.omega * np.cos(th), -self.omega * np.sin(th) * dth
 
 
 @dataclass(frozen=True)
@@ -166,7 +160,6 @@ class PulseSchedule:
     stokes: object
     detuning: DetuningSchedule
     horizon: float
-    ordering: str
     floor_omega: float
 
     def rabi(self, t) -> PulseSample:
@@ -203,33 +196,32 @@ class PulseSchedule:
                 and self.detuning.kind == "constant")
 
 
-def make_stirap_schedule(peak_omega: float, delta: float, horizon: float,
-                         ordering: str, width: float = None,
-                         delay: float = None,
-                         detuning: DetuningSchedule = None) -> PulseSchedule:
-    """Two-pulse transfer schedule.
+def make_stirap_schedule(peak_omega: float, detuning: DetuningSchedule,
+                         horizon: float, ordering: str, width: float = None,
+                         delay: float = None) -> PulseSchedule:
+    """Two-pulse transfer schedule under the given detuning law.
 
     "counterintuitive" places the Stokes pulse before the pump,
     "intuitive" reverses them, and "static" uses equal constant envelopes
     (constant mixing angle pi/4).  Each Gaussian has peak peak_omega; width
     and the center offset from T/2 default to the module geometry constants.
     """
-    _check_finite(peak_omega=peak_omega, delta=delta, horizon=horizon,
-                  width=width, delay=delay)
+    _check_finite(peak_omega=peak_omega, horizon=horizon, width=width,
+                  delay=delay)
+    if not isinstance(detuning, DetuningSchedule):
+        raise TypeError("detuning must be a DetuningSchedule")
     if peak_omega <= 0:
         raise ValueError("peak_omega must be positive")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if ordering not in ORDERINGS:
         raise ValueError(f"ordering must be one of {ORDERINGS}")
-    if detuning is None:
-        detuning = DetuningSchedule(kind="constant", delta0=delta)
 
     floor = FLOOR_FRACTION * peak_omega
     if ordering == "static":
         pump = ConstantPulse(peak_omega)
         stokes = ConstantPulse(peak_omega)
-        return PulseSchedule(pump, stokes, detuning, horizon, ordering, floor)
+        return PulseSchedule(pump, stokes, detuning, horizon, floor)
 
     if width is None:
         width = DEFAULT_WIDTH_FRACTION * horizon
@@ -243,7 +235,7 @@ def make_stirap_schedule(peak_omega: float, delta: float, horizon: float,
         pump_center, stokes_center = early, late
     pump = GaussianPulse(peak_omega, pump_center, width)
     stokes = GaussianPulse(peak_omega, stokes_center, width)
-    return PulseSchedule(pump, stokes, detuning, horizon, ordering, floor)
+    return PulseSchedule(pump, stokes, detuning, horizon, floor)
 
 
 def theta_law_schedule(theta0: float, gamma_c: float, t0: float, omega: float,
@@ -251,6 +243,8 @@ def theta_law_schedule(theta0: float, gamma_c: float, t0: float, omega: float,
     """Constant-total-coupling schedule with tan(2*theta) growing as
     exp(gamma_c*(t-t0)), so theta' exactly cancels the coherence drive term
     (gamma_c/4) sin(4*theta)."""
+    _check_finite(gamma_c=gamma_c, t0=t0, omega=omega, horizon=horizon,
+                  delta=delta)
     if omega <= 0:
         raise ValueError("omega must be positive")
     if horizon <= 0:
@@ -263,5 +257,5 @@ def theta_law_schedule(theta0: float, gamma_c: float, t0: float, omega: float,
     if np.any(stokes.value(t_check) < 0):
         raise ValueError("mixing angle reached pi/2 inside the horizon")
     detuning = DetuningSchedule(kind="constant", delta0=delta)
-    return PulseSchedule(pump, stokes, detuning, horizon, "theta_law",
+    return PulseSchedule(pump, stokes, detuning, horizon,
                          FLOOR_FRACTION * omega)

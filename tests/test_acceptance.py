@@ -42,10 +42,12 @@ def report(num, name, ok, detail):
 def test_criterion_01_closed_system_exactness():
     """Static closed system follows the free dressed-phase solution to 1e-8
     out to lam3 * t = 1e4."""
-    schedule_probe = make_stirap_schedule(PEAK, DELTA, 1.0, "static")
+    schedule_probe = make_stirap_schedule(PEAK, DetuningSchedule(delta0=DELTA),
+                                          1.0, "static")
     lam3 = frame(schedule_probe, 0.0).lam[2]
     horizon = 1e4 / lam3
-    schedule = make_stirap_schedule(PEAK, DELTA, horizon, "static")
+    schedule = make_stirap_schedule(PEAK, DetuningSchedule(delta0=DELTA),
+                                    horizon, "static")
     vec = np.array([0.6, 0.5, 0.4 + 0.3j])
     vec /= np.linalg.norm(vec)
     big_r0 = 0.7 * np.outer(vec, vec.conj()) + 0.3 * np.diag([0.5, 0.3, 0.2])
@@ -69,7 +71,9 @@ def test_criterion_02_basis_equivalence():
     worst_case = ""
     for config in Configuration:
         for ordering in ("counterintuitive", "intuitive"):
-            schedule = make_stirap_schedule(PEAK, DELTA, 1.0, ordering)
+            schedule = make_stirap_schedule(PEAK,
+                                            DetuningSchedule(delta0=DELTA),
+                                            1.0, ordering)
             u0 = frame(schedule, 0.0).U
             big_r0 = u0.conj().T @ SIG11 @ u0
             bare = propagate(config, rates, schedule, SIG11, settings,
@@ -94,7 +98,8 @@ def test_criterion_03_oracle_agreement():
     midpoint) oracle sits at about 1.0e-6 here and fails the bound.
     """
     rates = fig_rates(0.005)
-    schedule = make_stirap_schedule(PEAK, DELTA, 1.0, "counterintuitive")
+    schedule = make_stirap_schedule(PEAK, DetuningSchedule(delta0=DELTA), 1.0,
+                                    "counterintuitive")
     rk = propagate(Configuration.LAMBDA, rates, schedule, SIG11,
                    PropagatorSettings(), samples=1001)
     oracle = propagate(Configuration.LAMBDA, rates, schedule, SIG11,
@@ -152,7 +157,8 @@ def test_criterion_06_purity_monotone_in_detuning():
     rates = fig_rates(0.05)
     minima, finals = [], []
     for delta in (100.0, 300.0, 1000.0):
-        schedule = make_stirap_schedule(PEAK, delta, 1.0, "intuitive")
+        schedule = make_stirap_schedule(PEAK, DetuningSchedule(delta0=delta),
+                                        1.0, "intuitive")
         traj = propagate(Configuration.LAMBDA, rates, schedule, SIG11,
                          PropagatorSettings(), samples=401)
         minima.append(float(traj.purity.min()))
@@ -172,7 +178,8 @@ def test_criterion_07_third_state_decay():
                     gamma3_deph=0.2)
     der = derived_rates(Configuration.LAMBDA, rates)
     horizon = 0.1 / der.gamma_total
-    schedule = make_stirap_schedule(PEAK, DELTA, horizon, "static")
+    schedule = make_stirap_schedule(PEAK, DetuningSchedule(delta0=DELTA),
+                                    horizon, "static")
     traj = propagate(Configuration.LAMBDA, rates, schedule, SIG33,
                      PropagatorSettings(rel_tol=1e-10,
                                         abs_tol=1e-12,
@@ -199,7 +206,7 @@ def test_criterion_08_rate_bookkeeping():
                                       ((2, 0), der.Gamma1, "Gamma1")):
             schedule = PulseSchedule(ConstantPulse(0.0), ConstantPulse(0.0),
                                      DetuningSchedule("constant", 0.0),
-                                     1.0 / target, "static", 1e-9)
+                                     1.0 / target, 1e-9)
             rho0 = np.zeros((3, 3), dtype=complex)
             rho0[i, i] = rho0[j, j] = 0.5
             rho0[i, j] = rho0[j, i] = 0.25
@@ -223,10 +230,11 @@ def test_criterion_09_shaped_detuning_suppression():
     omega = math.hypot(PEAK, PEAK)
     shaped = DetuningSchedule(kind="shaped", delta0=DELTA / omega,
                               gamma1=der.Gamma1, t0=0.0)
-    s_shaped = make_stirap_schedule(PEAK, 0.0, 1.0, "static", detuning=shaped)
+    s_shaped = make_stirap_schedule(PEAK, shaped, 1.0, "static")
     grid = np.linspace(0.0, 1.0, 2001)
     mean_delta = float(np.trapezoid(s_shaped.delta(grid)[0], grid))
-    s_const = make_stirap_schedule(PEAK, mean_delta, 1.0, "static")
+    s_const = make_stirap_schedule(PEAK, DetuningSchedule(delta0=mean_delta),
+                                   1.0, "static")
     settings = PropagatorSettings(rel_tol=1e-10, abs_tol=1e-12,
                                   basis="adiabatic")
     r32 = {}

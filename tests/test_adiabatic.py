@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from threelevel.adiabatic import angles, frame, hamiltonian, rotation
+from threelevel.adiabatic import angles, frame, rotation
 from threelevel.dissipation import ketbra
 from threelevel.pulses import (ConstantPulse, DetuningSchedule,
                                make_stirap_schedule, theta_law_schedule,
@@ -14,8 +14,29 @@ from threelevel.pulses import (ConstantPulse, DetuningSchedule,
 def static_schedule(omega_p, omega_c, delta, horizon=1.0):
     floor = 1e-9 * max(omega_p, omega_c, 1.0)
     return PulseSchedule(ConstantPulse(omega_p), ConstantPulse(omega_c),
-                         DetuningSchedule("constant", delta), horizon,
-                         "static", floor)
+                         DetuningSchedule("constant", delta), horizon, floor)
+
+
+def hamiltonian(schedule, t):
+    """Rotating-frame Hamiltonian at time t (Hermitian, complex dtype),
+    built from the drives alone: the frame's independent reference."""
+    sample = schedule.rabi(t)
+    delta, _ = schedule.delta(t)
+    h = np.zeros((3, 3), dtype=complex)
+    h[0, 2] = h[2, 0] = sample.omega_p
+    h[1, 2] = h[2, 1] = sample.omega_c
+    h[2, 2] = delta
+    return h
+
+
+def coupling(fr):
+    """F = U^dag dU/dt from the frame's theta', phi and phi':
+    F12 = theta' cos(phi), F13 = theta' sin(phi), F23 = phi'."""
+    f = np.zeros(np.shape(fr.phi) + (3, 3))
+    f[..., 0, 1] = fr.theta_dot * np.cos(fr.phi)
+    f[..., 0, 2] = fr.theta_dot * np.sin(fr.phi)
+    f[..., 1, 2] = fr.phi_dot
+    return f - f.swapaxes(-1, -2)
 
 
 class TestHamiltonian:
@@ -66,8 +87,7 @@ class TestMixingAngles:
 
     def test_zero_drive_without_floor_raises(self):
         s = PulseSchedule(ConstantPulse(0.0), ConstantPulse(0.0),
-                          DetuningSchedule("constant", 1.0), 1.0, "static",
-                          0.0)
+                          DetuningSchedule("constant", 1.0), 1.0, 0.0)
         with pytest.raises(ValueError):
             frame(s, 0.0)
 
@@ -151,11 +171,12 @@ class TestFrame:
 
 
 class TestCouplingMatrix:
-    """The nonadiabatic coupling F = U^dag dU/dt of the frame."""
+    """The nonadiabatic coupling F = U^dag dU/dt, built from the frame's
+    rates by `coupling`."""
 
     def test_static_schedule_vanishes(self):
         s = static_schedule(80.0, 60.0, 700.0)
-        np.testing.assert_allclose(frame(s, 0.4).F,
+        np.testing.assert_allclose(coupling(frame(s, 0.4)),
                                    np.zeros((3, 3)), atol=1e-15)
 
     def test_theta_law_entry(self):
@@ -165,39 +186,46 @@ class TestCouplingMatrix:
         t = 0.6
         fr = frame(s, t)
         theta_dot = 0.25 * gc * math.sin(4 * fr.theta)
-        phi, f = fr.phi, fr.F
-        assert f[1, 0].real == pytest.approx(-theta_dot * math.cos(phi),
-                                             rel=1e-9)
-        assert f[0, 1].real == pytest.approx(theta_dot * math.cos(phi),
-                                             rel=1e-9)
+        phi, f = fr.phi, coupling(fr)
+        assert f[1, 0] == pytest.approx(-theta_dot * math.cos(phi), rel=1e-9)
+        assert f[0, 1] == pytest.approx(theta_dot * math.cos(phi), rel=1e-9)
 
     def test_antisymmetric_real(self):
-        s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
+        """The numerical U^dag dU/dt is real antisymmetric, so three rates
+        fix it."""
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                 "counterintuitive")
+        h = 1e-6
         for t in (0.2, 0.5, 0.8):
-            f = frame(s, t).F
-            assert np.max(np.abs(f + f.T)) < 1e-10
-            assert np.max(np.abs(f.imag)) < 1e-15
+            fd = frame(s, t).U.conj().T @ (frame(s, t + h).U
+                                           - frame(s, t - h).U) / (2 * h)
+            scale = max(1.0, np.max(np.abs(fd)))
+            assert np.max(np.abs(fd + fd.T)) < 1e-6 * scale
+            assert np.max(np.abs(fd.imag)) < 1e-15
 
     def test_matches_finite_difference(self):
         """U^dag (U(t+h)-U(t-h))/(2h) cross-checks the analytic F."""
-        s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                 "counterintuitive")
         h = 1e-6
         for t in (0.25, 0.5, 0.75):
             u0 = frame(s, t).U
             up = frame(s, t + h).U
             um = frame(s, t - h).U
             fd = u0.conj().T @ (up - um) / (2 * h)
-            f = frame(s, t).F
+            f = coupling(frame(s, t))
             scale = max(1.0, np.max(np.abs(f)))
             assert np.max(np.abs(fd - f)) < 1e-6 * scale
 
     def test_time_reflection_maps_orderings(self):
         """Reversing the pulse order flips the sign of F at mirrored times."""
-        ci = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
-        it = make_stirap_schedule(100.0, 1000.0, 1.0, "intuitive")
+        ci = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                  "counterintuitive")
+        it = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                  "intuitive")
         for t in (0.2, 0.45, 0.7):
-            f_ci = frame(ci, t).F
-            f_it = frame(it, 1.0 - t).F
+            f_ci = coupling(frame(ci, t))
+            f_it = coupling(frame(it, 1.0 - t))
             np.testing.assert_allclose(f_it, -f_ci, atol=1e-10)
 
 
@@ -245,19 +273,24 @@ class TestKernel:
     def test_frame_orthogonal_and_antisymmetric(self, peak, width, ordering,
                                                 delta0, gamma1, times):
         """On random schedules, constant or shaped detuning, U is orthogonal
-        and diagonalizes H wherever the floor is off, and F is
-        antisymmetric."""
+        and diagonalizes H wherever the floor is off, and there the
+        antisymmetric F built from the rates matches the numerical
+        U^dag dU/dt."""
         kind = "shaped" if gamma1 > 1.0 else "constant"
         d = DetuningSchedule(kind, delta0 / 100.0 if kind == "shaped"
                              else delta0, gamma1 - 1.0, 0.5)
-        s = make_stirap_schedule(peak, 0.0, 1.0, ordering, width=width,
-                                 detuning=d)
+        s = make_stirap_schedule(peak, d, 1.0, ordering, width=width)
         fr = frame(s, np.array(times))
         eye = np.broadcast_to(np.eye(3), fr.U.shape)
         np.testing.assert_allclose(fr.U.swapaxes(-1, -2) @ fr.U, eye,
                                    atol=1e-14)
-        np.testing.assert_array_equal(fr.F, -fr.F.swapaxes(-1, -2))
+        dt = 1e-6
+        ahead, behind = frame(s, fr.t + dt).U, frame(s, fr.t - dt).U
+        fd = fr.U.swapaxes(-1, -2) @ (ahead - behind) / (2 * dt)
+        f = coupling(fr)
         for k in np.flatnonzero(~fr.floor_engaged):
+            scale = max(1.0, np.max(np.abs(f[k])))
+            assert np.max(np.abs(fd[k] - f[k])) < 1e-6 * scale
             h = hamiltonian(s, times[k])
             scale = max(1.0, np.max(np.abs(h)))
             np.testing.assert_allclose(fr.U[k].T @ h @ fr.U[k],

@@ -5,8 +5,7 @@ import pytest
 
 from threelevel.adiabatic import frame
 from threelevel.analysis import (compare_analytic_numeric, hadamard_fidelity,
-                                 purity, quadrature_solution,
-                                 stability_report)
+                                 quadrature_solution, stability_report)
 from threelevel.dissipation import Configuration, RateSet, derived_rates
 from threelevel.evolution import PropagatorSettings, propagate
 from threelevel.pulses import (ConstantPulse, DetuningSchedule, PulseSchedule,
@@ -22,6 +21,11 @@ FIG2_RATES = {0.005: RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.01),
               0.05: RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.1)}
 
 
+def purity(rho):
+    """Tr(rho^2); 1 for pure states, 1/3 for the maximally mixed state."""
+    return float(np.trace(rho @ rho).real)
+
+
 class TestPurity:
     def test_pure_state(self):
         psi = np.array([0.6, 0.8j, 0.0])
@@ -33,10 +37,20 @@ class TestPurity:
     def test_two_level_mixture(self):
         assert purity(np.diag([0.5, 0.5, 0.0])) == pytest.approx(0.5)
 
+    def test_trajectory_purity_is_trace_of_square(self):
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=300.0), 1.0,
+                                 "intuitive")
+        traj = propagate(Configuration.LAMBDA, FIG2_RATES[0.05], s, SIG11,
+                         samples=21)
+        np.testing.assert_allclose(traj.purity,
+                                   [purity(rho) for rho in traj.rho],
+                                   rtol=1e-14)
+
 
 class TestAdiabaticPopulations:
     def test_pure_dressed_state(self):
-        s = make_stirap_schedule(80.0, 600.0, 1.0, "static")
+        s = make_stirap_schedule(80.0, DetuningSchedule(delta0=600.0), 1.0,
+                                 "static")
         u = frame(s, 0.0).U
         rho0 = np.outer(u[:, 1], u[:, 1].conj())
         traj = propagate(Configuration.LAMBDA, RateSet(), s, rho0,
@@ -46,8 +60,7 @@ class TestAdiabaticPopulations:
 
     def test_drives_off_matches_bare(self):
         s = PulseSchedule(ConstantPulse(0.0), ConstantPulse(0.0),
-                          DetuningSchedule("constant", 40.0), 1.0, "static",
-                          1e-12)
+                          DetuningSchedule("constant", 40.0), 1.0, 1e-12)
         rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
         traj = propagate(Configuration.LAMBDA, RateSet(), s, rho0,
                          TIGHT, samples=11)
@@ -56,7 +69,8 @@ class TestAdiabaticPopulations:
 
     def test_populations_sum_to_one(self):
         rates = FIG2_RATES[0.005]
-        s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                 "counterintuitive")
         traj = propagate(Configuration.LAMBDA, rates, s, SIG11,
                          samples=101)
         sums = traj.pops_adiabatic.sum(axis=1)
@@ -89,7 +103,8 @@ class TestQuadratures:
                 cumulative_trapezoid(y, grid, initial=0.0))
 
     def test_zero_rate_dark_population_constant(self):
-        s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                 "counterintuitive")
         der = derived_rates(Configuration.LAMBDA, RateSet(gamma1=0.5,
                                                           gamma2=0.5))
         grid = np.linspace(0.0, 1.0, 8001)
@@ -98,14 +113,16 @@ class TestQuadratures:
 
     def test_constant_pi_over_4_deficit(self):
         """At theta = pi/4 the deficit integral is exactly gamma_c T / 2."""
-        s = make_stirap_schedule(100.0, 1000.0, 1.0, "static")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                 "static")
         der = derived_rates(Configuration.LAMBDA, FIG2_RATES[0.05])
         grid = np.linspace(0.0, 1.0, 8001)
         est = quadrature_solution("dark_R11", s, der, grid)
         assert est.values[-1] == pytest.approx(1.0 - 0.05 / 2.0, abs=1e-12)
 
     def test_third_state_linear_decay(self):
-        s = make_stirap_schedule(100.0, 1000.0, 1.0, "static")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                 "static")
         der = derived_rates(Configuration.LAMBDA, FIG2_RATES[0.005])
         grid = np.linspace(0.0, 0.1, 4001)
         est = quadrature_solution("third_R33", s, der, grid)
@@ -113,19 +130,22 @@ class TestQuadratures:
         assert est.values[-1] == pytest.approx(0.9)
 
     def test_under_resolved_grid_rejected(self):
-        s = make_stirap_schedule(100.0, 1000.0, 1.0, "static")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                 "static")
         der = derived_rates(Configuration.LAMBDA, FIG2_RATES[0.005])
         with pytest.raises(ValueError):
             quadrature_solution("dark_R21", s, der, np.linspace(0, 1, 50))
 
     def test_unknown_kind_rejected(self):
-        s = make_stirap_schedule(100.0, 1000.0, 1.0, "static")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                 "static")
         der = derived_rates(Configuration.LAMBDA, FIG2_RATES[0.005])
         with pytest.raises(ValueError):
             quadrature_solution("dark_R99", s, der, np.linspace(0, 1, 8001))
 
     def test_b_state_deficit_mirrors_dark(self):
-        s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                 "counterintuitive")
         der = derived_rates(Configuration.LAMBDA, FIG2_RATES[0.005])
         grid = np.linspace(0.0, 1.0, 8001)
         dark = quadrature_solution("dark_R11", s, der, grid)
@@ -140,7 +160,8 @@ class TestOscillatoryQuadratures:
         f * (exp(i beta t) - 1) / (i beta)."""
         rates = FIG2_RATES[0.05]
         der = derived_rates(Configuration.LAMBDA, rates)
-        s = make_stirap_schedule(100.0, 1000.0, 0.2, "static")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 0.2,
+                                 "static")
         fr = frame(s, 0.0)
         beta = fr.lam[2] - fr.lam[1]
         f = 0.25 * der.gamma_c * math.sin(2 * fr.theta) ** 2 \
@@ -163,7 +184,8 @@ class TestOscillatoryQuadratures:
         at numerical zero."""
         rates = FIG2_RATES[0.005]
         der = derived_rates(Configuration.LAMBDA, rates)
-        s = make_stirap_schedule(100.0, 1000.0, 0.1, "static")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 0.1,
+                                 "static")
         grid = np.linspace(0.0, 0.1, 8001)
         for which in ("dark_R21", "dark_R31"):
             est = quadrature_solution(which, s, der, grid)
@@ -178,7 +200,8 @@ class TestOscillatoryQuadratures:
         quadrature to a few percent on a short static hold."""
         rates = FIG2_RATES[0.005]
         der = derived_rates(Configuration.LAMBDA, rates)
-        s = make_stirap_schedule(100.0, 1000.0, 0.1, "static")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 0.1,
+                                 "static")
         traj = propagate(Configuration.LAMBDA, rates, s, SIG22,
                          TIGHT_DRESSED, samples=401)
         dev = compare_analytic_numeric("b_R32", traj, s, der)
@@ -208,7 +231,8 @@ class TestCompareAnalyticNumeric:
         """gamma_c = 0 closed system: both pipelines are constant."""
         rates = RateSet(gamma1=0.5, gamma2=0.5)
         der = derived_rates(Configuration.LAMBDA, rates)
-        s = make_stirap_schedule(100.0, 1000.0, 1.0, "static")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                 "static")
         traj = propagate(Configuration.LAMBDA, RateSet(), s, SIG11,
                          TIGHT_DRESSED, samples=201)
         assert compare_analytic_numeric("dark_R11", traj, s, der) < 1e-6
@@ -243,8 +267,10 @@ class TestMirrorSymmetry:
         rates = FIG2_RATES[0.005]
         settings = PropagatorSettings(rel_tol=1e-9, abs_tol=1e-11,
                                       basis="adiabatic")
-        ci = make_stirap_schedule(100.0, 5000.0, 1.0, "counterintuitive")
-        it = make_stirap_schedule(100.0, 5000.0, 1.0, "intuitive")
+        ci = make_stirap_schedule(100.0, DetuningSchedule(delta0=5000.0), 1.0,
+                                  "counterintuitive")
+        it = make_stirap_schedule(100.0, DetuningSchedule(delta0=5000.0), 1.0,
+                                  "intuitive")
         dark = propagate(Configuration.LAMBDA, rates, ci, SIG11,
                          settings, samples=101)
         bright = propagate(Configuration.LAMBDA, rates, it, SIG22,
@@ -263,12 +289,11 @@ class TestShapedDetuningSuppression:
         omega = math.hypot(100.0, 100.0)
         shaped = DetuningSchedule(kind="shaped", delta0=1000.0 / omega,
                                   gamma1=der.Gamma1, t0=0.0)
-        s_shaped = make_stirap_schedule(100.0, 0.0, 1.0, "static",
-                                        detuning=shaped)
+        s_shaped = make_stirap_schedule(100.0, shaped, 1.0, "static")
         grid = np.linspace(0.0, 1.0, 2001)
         mean_delta = np.trapezoid(s_shaped.delta(grid)[0], grid)
-        s_const = make_stirap_schedule(100.0, float(mean_delta), 1.0,
-                                       "static")
+        const = DetuningSchedule(delta0=float(mean_delta))
+        s_const = make_stirap_schedule(100.0, const, 1.0, "static")
         run = lambda sched: propagate(
             Configuration.LAMBDA, rates, sched, SIG22, TIGHT_DRESSED,
             samples=101)
@@ -284,7 +309,8 @@ class TestBrightStateStability:
         finals = []
         for gc_T in (0.005, 0.01, 0.05):
             rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=2 * gc_T)
-            s = make_stirap_schedule(100.0, 1000.0, 1.0, "intuitive")
+            s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0),
+                                     1.0, "intuitive")
             traj = propagate(Configuration.LAMBDA, rates, s, SIG11,
                              PropagatorSettings(), samples=101)
             finals.append(traj.pops_bare[-1, 1])
@@ -292,7 +318,8 @@ class TestBrightStateStability:
 
     def test_transfer_purity_stays_high(self):
         rates = FIG2_RATES[0.005]
-        s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                 "counterintuitive")
         traj = propagate(Configuration.LAMBDA, rates, s, SIG11,
                          PropagatorSettings(), samples=201)
         assert traj.purity.min() > 0.9
@@ -306,7 +333,8 @@ class TestConfigurationHierarchy:
         vee scheme (sum of both optical widths), and the transfer quality
         drops accordingly."""
         rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.01)
-        s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                 "counterintuitive")
         finals = {}
         for config in Configuration:
             traj = propagate(config, rates, s, SIG11,
@@ -323,7 +351,8 @@ class TestConfigurationHierarchy:
 class TestStabilityReport:
     def test_standard_transfer_parameters_pass(self):
         rates = FIG2_RATES[0.005]
-        s = make_stirap_schedule(100.0, 1000.0, 1.0, "static")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                 "static")
         report = stability_report(Configuration.LAMBDA, rates, s)
         assert report.gc_T == pytest.approx(0.005)
         omega = math.hypot(100.0, 100.0)
@@ -335,14 +364,16 @@ class TestStabilityReport:
 
     def test_large_gamma_c_fails_first_condition(self):
         rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=1.0)
-        s = make_stirap_schedule(100.0, 1000.0, 1.0, "static")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                 "static")
         report = stability_report(Configuration.LAMBDA, rates, s)
         assert report.gc_T == pytest.approx(0.5)
         assert report.verdicts["gc_T_much_less_1"] is False
 
     def test_weak_drive_fails_second_adiabatic_condition(self):
         rates = FIG2_RATES[0.005]
-        s = make_stirap_schedule(math.sqrt(1000.0 / 2.0), 1000.0, 1.0,
+        s = make_stirap_schedule(math.sqrt(1000.0 / 2.0),
+                                 DetuningSchedule(delta0=1000.0), 1.0,
                                  "static")
         report = stability_report(Configuration.LAMBDA, rates, s)
         assert report.adiab2 == pytest.approx(1.0)
@@ -350,9 +381,10 @@ class TestStabilityReport:
 
     def test_zero_detuning_reciprocal_semantics(self):
         rates = FIG2_RATES[0.005]
-        s = make_stirap_schedule(100.0, 0.0, 1.0, "static")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=0.0), 1.0,
+                                 "static")
         report = stability_report(Configuration.LAMBDA, rates, s)
-        assert not report.delta_positive
+        assert report.delta_at_peak == 0.0
         assert report.adiab2 == math.inf
         assert report.verdicts["adiab2_much_greater_1"] is True
         assert report.gamma1_over_delta == math.inf
@@ -361,7 +393,8 @@ class TestStabilityReport:
 
 class TestHadamardFidelity:
     def hold_trajectory(self, rates, state_sign, horizon=1.0):
-        s = make_stirap_schedule(100.0, 1000.0, horizon, "static")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0),
+                                 horizon, "static")
         psi = np.array([1.0, state_sign, 0.0]) / math.sqrt(2.0)
         rho0 = np.outer(psi, psi.conj())
         return propagate(Configuration.LAMBDA, rates, s, rho0,
@@ -392,7 +425,8 @@ class TestHadamardFidelity:
 
     def test_requires_equal_static_drives(self):
         rates = FIG2_RATES[0.005]
-        s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                 "counterintuitive")
         traj = propagate(Configuration.LAMBDA, rates, s, SIG11,
                          PropagatorSettings(), samples=51)
         with pytest.raises(ValueError):

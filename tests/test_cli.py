@@ -509,6 +509,35 @@ class TestMainEntry:
         bad.write_text("bogus = 1\n", encoding="utf-8")
         assert main(["validate", str(bad)]) == 2
 
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        """A config path that is a directory, or a file that is not UTF-8
+        text, is a config error naming the path, not a traceback."""
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(b"scenario = \xff\xfe\n")
+        for path in (tmp_path, binary):
+            for verb in ("validate", "run"):
+                assert main(["--out-dir", str(tmp_path / "out"), verb,
+                             str(path)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("config error:")
+                assert "cannot read" in err and str(path) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_table_fails_each_point(self, tmp_path, capsys):
+        """An --out-dir that is a regular file fails every point of a
+        sweep, each reported as FAILED while the others still run, with
+        exit code 3 and the file left as it was."""
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"not a directory\n")
+        assert main(["--out-dir", str(blocker), "--samples", "20",
+                     "sweep", "purity_delta_fig4"]) == 3
+        out = capsys.readouterr().out
+        failed = [line for line in out.splitlines() if "FAILED" in line]
+        assert [line.split("]")[0] for line in failed] == [
+            f"[purity_delta_fig4__delta0={d!r}" for d in (100.0, 300.0,
+                                                           1000.0)]
+        assert blocker.read_bytes() == b"not a directory\n"
+
     def test_run_with_flags(self, tmp_path, capsys):
         """--samples and --tol write the table of a config file that sets
         the keys they stand for."""

@@ -18,8 +18,7 @@ def random_density(rng):
 
 def drives_off_schedule(horizon):
     return PulseSchedule(ConstantPulse(0.0), ConstantPulse(0.0),
-                         DetuningSchedule("constant", 0.0), horizon,
-                         "static", 1e-9)
+                         DetuningSchedule("constant", 0.0), horizon, 1e-9)
 
 
 class TestAlgebra:
@@ -113,8 +112,7 @@ class TestAdiabaticDissipator:
         # drives off at positive detuning: theta -> 0 and phi -> 0, so the
         # dressed frame coincides with the bare basis
         s = PulseSchedule(ConstantPulse(0.0), ConstantPulse(0.0),
-                          DetuningSchedule("constant", 5.0), 1.0, "static",
-                          1e-12)
+                          DetuningSchedule("constant", 5.0), 1.0, 1e-12)
         fr = frame(s, 0.0)
         rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.1)
         rng = np.random.default_rng(47)
@@ -131,7 +129,8 @@ class TestAdiabaticDissipator:
         rates = RateSet(gamma1=0.4, gamma2=0.6, gamma1_deph=0.15,
                         gamma2_deph=0.25, gamma3_deph=0.1)
         ops = lindblad_ops(config, rates)
-        s = make_stirap_schedule(90.0, 800.0, 1.0, "counterintuitive")
+        s = make_stirap_schedule(90.0, DetuningSchedule(delta0=800.0), 1.0,
+                                 "counterintuitive")
         for t in (0.2, 0.5, 0.8):
             fr = frame(s, t)
             big_r = random_density(rng)
@@ -144,7 +143,8 @@ class TestAdiabaticDissipator:
         """With no ground dephasing the dark dressed state is a fixed point
         of the dissipator."""
         rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.0)
-        s = make_stirap_schedule(70.0, 900.0, 1.0, "static")
+        s = make_stirap_schedule(70.0, DetuningSchedule(delta0=900.0), 1.0,
+                                 "static")
         fr = frame(s, 0.5)
         out = dressed_dissipator(Configuration.LAMBDA, rates, fr.U,
                                  ketbra(1, 1))
@@ -230,7 +230,8 @@ class TestDarkStateImmunity:
         integrator precision out to gamma_sp * t = 10."""
         rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.0)
         horizon = 10.0  # gamma_sp = 1, so gamma_sp * t reaches 10
-        s = make_stirap_schedule(100.0, 1000.0, horizon, "static")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0),
+                                 horizon, "static")
         big_r0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
         traj = propagate(Configuration.LAMBDA, rates, s, big_r0,
                          PropagatorSettings(rel_tol=1e-10,

@@ -12,7 +12,7 @@ from threelevel.pulses import (DETUNING_KINDS, ConstantPulse,
 class TestGaussianPulse:
     def test_peak_point(self):
         p = GaussianPulse(peak=100.0, center=0.5, width=0.1)
-        value, deriv = p.value(0.5), p.derivative(0.5)
+        value, deriv = p.sample(0.5)
         assert value == pytest.approx(100.0)
         assert deriv == pytest.approx(0.0)
 
@@ -47,22 +47,25 @@ class TestAnalyticDerivatives:
         h = 1e-6
         for t in rng.uniform(0.0, 1.0, size=100):
             fd = (pulse.value(t + h) - pulse.value(t - h)) / (2 * h)
-            exact = pulse.derivative(t)
+            exact = pulse.sample(t)[1]
             scale = max(abs(fd), abs(exact), 1e-9)
             assert abs(fd - exact) / scale < 1e-6
 
 
 class TestStirapSchedule:
     def test_counterintuitive_ordering(self):
-        s = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                 "counterintuitive")
         assert s.stokes.center < s.pump.center
 
     def test_intuitive_ordering(self):
-        s = make_stirap_schedule(100.0, 1000.0, 1.0, "intuitive")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                 "intuitive")
         assert s.pump.center < s.stokes.center
 
     def test_static_gives_constant_pi_over_4(self):
-        s = make_stirap_schedule(100.0, 1000.0, 1.0, "static")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                 "static")
         for t in np.linspace(0.0, 1.0, 9):
             sample = s.rabi(t)
             theta = np.arctan2(sample.omega_p, sample.omega_c)
@@ -71,8 +74,10 @@ class TestStirapSchedule:
     def test_mirrored_envelopes(self):
         # Swapping the ordering exchanges the two envelopes pointwise, and
         # within one schedule time reflection about T/2 exchanges them too.
-        ci = make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
-        it = make_stirap_schedule(100.0, 1000.0, 1.0, "intuitive")
+        ci = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                  "counterintuitive")
+        it = make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                  "intuitive")
         ts = np.linspace(0.0, 1.0, 101)
         np.testing.assert_allclose(ci.pump.value(ts), it.stokes.value(ts),
                                    atol=1e-12)
@@ -83,14 +88,17 @@ class TestStirapSchedule:
 
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
-            make_stirap_schedule(100.0, 1000.0, 0.0, "counterintuitive")
+            make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 0.0,
+                                 "counterintuitive")
 
     def test_invalid_ordering(self):
         with pytest.raises(ValueError):
-            make_stirap_schedule(100.0, 1000.0, 1.0, "sideways")
+            make_stirap_schedule(100.0, DetuningSchedule(delta0=1000.0), 1.0,
+                                 "sideways")
 
     def test_no_clamping_outside_horizon(self):
-        s = make_stirap_schedule(100.0, 0.0, 1.0, "counterintuitive")
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=0.0), 1.0,
+                                 "counterintuitive")
         outside = float(s.pump.value(1.3))
         expected = 100.0 * math.exp(-((1.3 - s.pump.center)
                                       / s.pump.width) ** 2)
@@ -140,13 +148,13 @@ class TestThetaLaw:
 class TestDetuning:
     def test_shaped_constant_coupling_zero_rate(self):
         d = DetuningSchedule(kind="shaped", delta0=5.0, gamma1=0.0, t0=0.0)
-        s = make_stirap_schedule(1.0, 0.0, 1.0, "static", detuning=d)
+        s = make_stirap_schedule(1.0, d, 1.0, "static")
         value, _ = s.delta(0.7)
         assert float(value) == pytest.approx(5.0 * math.hypot(1.0, 1.0))
 
     def test_shaped_at_reference_time(self):
         d = DetuningSchedule(kind="shaped", delta0=3.0, gamma1=2.0, t0=0.4)
-        s = make_stirap_schedule(1.0, 0.0, 1.0, "static", detuning=d)
+        s = make_stirap_schedule(1.0, d, 1.0, "static")
         assert float(s.delta(0.4)[0]) == pytest.approx(
             3.0 * math.hypot(1.0, 1.0))
 
@@ -154,7 +162,7 @@ class TestDetuning:
         gamma1 = 1.0
         t = math.log(2.0)
         d = DetuningSchedule(kind="shaped", delta0=4.0, gamma1=gamma1, t0=0.0)
-        s = make_stirap_schedule(1.0, 0.0, 2.0, "static", detuning=d)
+        s = make_stirap_schedule(1.0, d, 2.0, "static")
         omega = math.hypot(1.0, 1.0)
         assert float(s.delta(t)[0]) == pytest.approx(
             2.0 * 4.0 * omega)
@@ -171,8 +179,7 @@ class TestDetuning:
 
     def test_schedule_delta_derivative(self):
         d = DetuningSchedule(kind="shaped", delta0=2.0, gamma1=0.8, t0=0.1)
-        s = make_stirap_schedule(50.0, 0.0, 1.0, "counterintuitive",
-                                 detuning=d)
+        s = make_stirap_schedule(50.0, d, 1.0, "counterintuitive")
         h = 1e-6
         for t in (0.2, 0.5, 0.8):
             v_plus = float(s.delta(t + h)[0])
@@ -183,8 +190,8 @@ class TestDetuning:
 
 class TestFloor:
     def test_floor_flag_engages(self):
-        s = make_stirap_schedule(1.0, 0.0, 1.0, "counterintuitive",
-                                 width=0.01, delay=0.004)
+        s = make_stirap_schedule(1.0, DetuningSchedule(delta0=0.0), 1.0,
+                                 "counterintuitive", width=0.01, delay=0.004)
         sample = s.rabi(-30.0)   # both envelopes underflow to zero
         assert bool(sample.floor_engaged)
         assert float(sample.omega) == pytest.approx(s.floor_omega)
@@ -192,8 +199,7 @@ class TestFloor:
     def test_zero_coupling_without_floor_raises(self):
         from threelevel.pulses import PulseSchedule
         s = PulseSchedule(ConstantPulse(0.0), ConstantPulse(0.0),
-                          DetuningSchedule("constant", 1.0), 1.0, "static",
-                          0.0)
+                          DetuningSchedule("constant", 1.0), 1.0, 0.0)
         with pytest.raises(ValueError):
             s.rabi(0.5)
 
@@ -224,19 +230,40 @@ class TestNonFinite:
             DetuningSchedule(kind=kind, **{field: bad})
 
     @pytest.mark.parametrize("bad", BAD)
-    @pytest.mark.parametrize("field", ["peak_omega", "delta", "horizon",
-                                       "width", "delay"])
+    @pytest.mark.parametrize("field", ["peak_omega", "horizon", "width",
+                                       "delay"])
     def test_stirap_schedule(self, field, bad):
-        args = {"peak_omega": 100.0, "delta": 1000.0, "horizon": 1.0,
-                "ordering": "counterintuitive", field: bad}
+        args = {"peak_omega": 100.0, "detuning": DetuningSchedule(),
+                "horizon": 1.0, "ordering": "counterintuitive", field: bad}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             make_stirap_schedule(**args)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("field", ["gamma_c", "t0", "omega"])
+    def test_theta_law_pulse(self, field, bad):
+        args = {"theta0": math.pi / 8, "gamma_c": 0.4, "t0": 0.0,
+                "omega": 100.0, "component": "sin", field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ThetaLawPulse(**args)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("field", ["gamma_c", "t0", "omega", "horizon",
+                                       "delta"])
+    def test_theta_law_schedule(self, field, bad):
+        args = {"theta0": 0.3, "gamma_c": 1.0, "t0": 0.0, "omega": 1.0,
+                "horizon": 1.0, "delta": 0.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            theta_law_schedule(**args)
+
+    def test_stirap_schedule_takes_a_detuning_schedule(self):
+        with pytest.raises(TypeError, match="DetuningSchedule"):
+            make_stirap_schedule(100.0, 1000.0, 1.0, "counterintuitive")
 
     def test_nan_detuning_beside_inf_peak(self):
         """The combination that used to build a schedule without error."""
         with pytest.raises(ValueError):
-            make_stirap_schedule(math.inf, 0.0, 1.0, "counterintuitive",
-                                 detuning=DetuningSchedule(delta0=math.nan))
+            make_stirap_schedule(math.inf, DetuningSchedule(delta0=math.nan),
+                                 1.0, "counterintuitive")
 
 
 class TestSample:
@@ -247,8 +274,10 @@ class TestSample:
                       component="cos"),
     ])
     def test_sample_is_value_and_derivative(self, pulse):
-        """`sample` gives `value` and `derivative` bit for bit."""
+        """`sample` gives `value` bit for bit, and a derivative of its
+        shape (checked against finite differences in
+        TestAnalyticDerivatives)."""
         t = np.linspace(-0.2, 1.2, 29)
         value, derivative = pulse.sample(t)
         np.testing.assert_array_equal(value, pulse.value(t))
-        np.testing.assert_array_equal(derivative, pulse.derivative(t))
+        assert derivative.shape == t.shape
