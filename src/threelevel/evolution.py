@@ -24,14 +24,15 @@ either basis.
 
 One public `propagate` builds the kernel of the basis its settings name
 and runs one of two integrators on it: `_dop853`, the Dormand-Prince
-8(5,3) embedded pair of scipy's DOP853 run in-house so that each step
-attempt builds all of its stage generators in one kernel call, and only
-accepted steps that contain output times build the three extra stages and
-the interpolant, which is evaluated at all output times after the loop, or
-`_magnus4`, the matrix-exponential oracle, which takes fourth-order Magnus
-steps (two Gauss nodes per slice) exponentiated by `expm`.  So each
-integrator runs in either basis, and the two bases and the two integrators
-are independent cross-checks of one another.
+8(5,3) embedded pair (DOP853, with the tableau in `_dop853_coefficients`)
+run in-house so that each step attempt builds all of its stage generators
+in one kernel call, and only accepted steps that contain output times
+build the three extra stages and the interpolant, which is evaluated at
+all output times after the loop, or `_magnus4`, the matrix-exponential
+oracle, which takes fourth-order Magnus steps (two Gauss nodes per slice)
+exponentiated by `expm`.  So each integrator runs in either basis, and
+the two bases and the two integrators are independent cross-checks of one
+another.
 """
 
 import bisect
@@ -40,9 +41,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy   # submodules load on first use, keeping `import threelevel` light
 
-from . import adiabatic
+from . import _dop853_coefficients as rk, adiabatic
 from .dissipation import (Configuration, RateSet, dissipator, ketbra,
                           lindblad_ops)
 from .pulses import PulseSchedule
@@ -367,8 +367,7 @@ def _assemble(rho, fr: adiabatic.AdiabaticFrame,
 
 @functools.cache
 def _dop853_tableau():
-    """The DOP853 tableau, read once from the public class attributes of
-    `scipy.integrate.DOP853` (loading `scipy.integrate` on first use), laid
+    """The DOP853 tableau of `_dop853_coefficients`, built once and laid
     out for `_dop853`, whose buffer holds y in row 0 and stage k in row
     k + 1.  `nodes` are the times, in steps, of the generators an attempt
     needs: stages 1-11, the step end, the dense-output stages.  Row s of
@@ -377,8 +376,7 @@ def _dop853_tableau():
     from B, for s = 12).  The rows of `dense` are the interpolant's
     coefficients over the 16 stages, in units of h: B, e0 - B,
     2B - e0 - e12 (with y_new - y = h B.K), then D."""
-    rk = scipy.integrate.DOP853
-    n = rk.n_stages
+    n = rk.N_STAGES
     a = np.zeros((n + 4, n + 5))
     a[:n, 1:n + 1] = rk.A
     a[n, 1:n + 1] = rk.B
@@ -388,7 +386,7 @@ def _dop853_tableau():
     e0, e_end = np.eye(n + 4)[[0, n]]
     dense = np.vstack([b, e0 - b, 2 * b - e0 - e_end, rk.D])
     return (np.concatenate([rk.C[1:], [1.0], rk.C_EXTRA]), a,
-            np.stack([rk.E5, rk.E3]), dense, n, rk.error_estimator_order)
+            np.stack([rk.E5, rk.E3]), dense, n, rk.ERROR_ESTIMATOR_ORDER)
 
 
 def _rms(x):

@@ -7,7 +7,7 @@ import scipy.integrate
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
-from threelevel import adiabatic
+from threelevel import _dop853_coefficients, adiabatic
 from threelevel.adiabatic import frame, rotation
 from threelevel.dissipation import (Configuration, RateSet, derived_rates,
                                     ketbra, lindblad_ops)
@@ -420,6 +420,16 @@ class TestDop853:
     states at the output times, which no step end of the reference hits."""
 
     RATES = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.01)
+
+    def test_tableau_matches_scipy(self):
+        """The package's own tableau is scipy's, bit for bit."""
+        rk, ref = _dop853_coefficients, scipy.integrate.DOP853
+        for name in ("A", "A_EXTRA", "B", "C", "C_EXTRA", "E3", "E5", "D"):
+            got, want = getattr(rk, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        assert rk.N_STAGES == ref.n_stages
+        assert rk.ERROR_ESTIMATOR_ORDER == ref.error_estimator_order
 
     @pytest.mark.parametrize("tolerances", [(1e-9, 1e-11), (1e-12, 1e-14)])
     @pytest.mark.parametrize("case", ["bare", "dressed", "static"])
