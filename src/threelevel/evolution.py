@@ -23,19 +23,23 @@ exp(2i theta) and exp(i phi) (`adiabatic.phasors`).  One grid kernel,
 either basis.
 
 One public `propagate` builds the kernel of the basis its settings name
-and runs one of two integrators on it: `_dop853`, the Dormand-Prince
-8(5,3) embedded pair (DOP853, with the tableau in `_dop853_coefficients`)
-run in-house so that each step attempt builds all of its stage generators
-in one kernel call, and only accepted steps that contain output times
-build the three extra stages and the interpolant, which is evaluated at
-all output times after the loop, or `_magnus4`, the matrix-exponential
-oracle, which takes fourth-order Magnus steps (two Gauss nodes per slice)
-exponentiated by `expm`.  So each integrator runs in either basis, and
-the two bases and the two integrators are independent cross-checks of one
-another.
+and runs one of two integrators on it.  The default, `_segmented`, uses
+that the generator does not depend on the state: it cuts the horizon into
+`_SEGMENTS` equal time segments, fixed in time whatever the output times,
+and `_dop853`, the Dormand-Prince 8(5,3) embedded pair (DOP853, with the
+tableau in `_dop853_coefficients`) run in-house, integrates the propagator
+of every segment from the identity, all segments in lockstep.  Each pass
+makes one kernel call for the stage generators of every active segment,
+and step control holds each column of each propagator to the tolerances.
+The segment-end propagators are checked to keep the trace, then chained
+into the states at the segment starts, and each output is its segment's
+interpolated propagator applied to the state at the segment's start.  The
+other integrator is `_magnus4`, the matrix-exponential oracle, which takes
+fourth-order Magnus steps (two Gauss nodes per slice) exponentiated by
+`expm`.  So each integrator runs in either basis, and the two bases and
+the two integrators are independent cross-checks of one another.
 """
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -57,6 +61,7 @@ _DEFAULT_REL_TOL = 1e-9
 METHODS = ("adaptive_rk", "expm_oracle")
 BASES = ("bare", "adiabatic")
 _ORACLE_BLOCK = 128   # slices per batched expm call; bounds peak memory
+_SEGMENTS = 32        # time segments `_dop853` steps in lockstep
 
 
 class PropagationError(RuntimeError):
@@ -195,6 +200,10 @@ _DRESSED = np.stack([
 # orthogonal U preserves it, so W^-1 = G^-1 W^T G.
 _G = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
 
+# The trace row: tr(rho) = _TRACE . pack(rho), and _TRACE G = 0 for the
+# generator G of either basis, since both equations keep the trace.
+_TRACE = pack(np.eye(3))
+
 
 def _harmonics(x, degree):
     """1, then cos(k x), sin(k x) for k = 1..degree, along a new last axis:
@@ -264,32 +273,34 @@ def dissipator_superop(ops: list) -> np.ndarray:
 def _generator_kernel(schedule: PulseSchedule, d9: np.ndarray, basis: str):
     """The grid generator kernel of one propagation: a function mapping an
     array of times t to the stacked real generators, shape t.shape + (9, 9),
-    of the bare (`basis="bare"`) or the dressed (`"adiabatic"`) master
-    equation with bare-basis dissipator superoperator `d9`.
+    written into `out` if one is given, of the bare (`basis="bare"`) or the
+    dressed (`"adiabatic"`) master equation with bare-basis dissipator
+    superoperator `d9`.
 
     The bare generator is D + Omega_p Bp + Omega_c Bc + Delta Bd, with
     D + Delta Bd summed here for a constant detuning.  The dressed one
     weights `_dressed_table` by the quasienergies, the rotation rates and
     the harmonic products of the frame angles, from `adiabatic.phasors` and
     `_waves`.  A static schedule has one constant generator, which is built
-    here and only broadcast over the times.
+    here and only copied to the times.
     """
     if basis == "bare":
         constant = schedule.detuning.kind == "constant"
         base = d9 + schedule.detuning.delta0 * _BD if constant else d9
         drives = _DRIVES[:2] if constant else _DRIVES
 
-        def at(t):
+        def at(t, out):
             coef = np.empty(t.shape + (len(drives),))
             coef[..., 0] = schedule.pump.value(t)
             coef[..., 1] = schedule.stokes.value(t)
             if not constant:
                 coef[..., 2] = schedule.delta(t)[0]
-            return (coef @ drives).reshape(t.shape + (9, 9)) + base
+            np.matmul(coef, drives, out=out.reshape(t.shape + (81,)))
+            out += base
     else:
         table = _dressed_table(d9)
 
-        def at(t):
+        def at(t, out):
             e_2theta, e_phi, theta_dot, phi_dot, lam2, lam3 = \
                 adiabatic.phasors(*schedule.rabi(t)[:6], *schedule.delta(t))
             theta_waves, phi_waves = _waves(e_2theta, e_phi)
@@ -299,12 +310,22 @@ def _generator_kernel(schedule: PulseSchedule, d9: np.ndarray, basis: str):
                         out=coef[..., 2:4])
             np.multiply(theta_waves[..., :, None], phi_waves[..., None, :],
                         out=coef[..., 5:].reshape(t.shape + (5, 9)))
-            return (coef @ table).reshape(t.shape + (9, 9))
+            np.matmul(coef, table, out=out.reshape(t.shape + (81,)))
 
-    if not schedule.is_static:
-        return lambda t: at(np.asarray(t, dtype=float))
-    constant = at(np.zeros(()))
-    return lambda t: np.broadcast_to(constant, np.shape(t) + (9, 9))
+    if schedule.is_static:
+        fixed = np.empty((9, 9))
+        at(np.zeros(()), fixed)
+
+        def at(t, out):
+            out[...] = fixed
+
+    def kernel(t, out=None):
+        t = np.asarray(t, dtype=float)
+        if out is None:
+            out = np.empty(t.shape + (9, 9))
+        at(t, out)
+        return out
+    return kernel
 
 
 # --- validation ------------------------------------------------------------
@@ -368,16 +389,17 @@ def _assemble(rho, fr: adiabatic.AdiabaticFrame,
 @functools.cache
 def _dop853_tableau():
     """The DOP853 tableau of `_dop853_coefficients`, built once and laid
-    out for `_dop853`, whose buffer holds y in row 0 and stage k in row
-    k + 1.  `nodes` are the times, in steps, of the generators an attempt
-    needs: stages 1-11, the step end, the dense-output stages.  Row s of
-    `h * a`, with 1 in column 0, combines buffer rows 0..s into
-    y + h sum_k A[s, k] K[k], the argument of stage s (of the step end,
-    from B, for s = 12).  The rows of `dense` are the interpolant's
-    coefficients over the 16 stages, in units of h: B, e0 - B,
+    out for `_dop853`, whose stage buffer holds y in row 0 and h times
+    stage k in row k + 1.  `nodes` are the times, in steps, of the
+    generators an attempt needs: stages 1-11, the step end, the
+    dense-output stages.  Row s of `a`, with 1 in column 0, combines buffer
+    rows 0..s into y + h sum_k A[s, k] K[k], the argument of stage s (of
+    the step end, from B, for s = 12).  The rows of `dense` are the
+    interpolant's coefficients over the 16 scaled stages: B, e0 - B,
     2B - e0 - e12 (with y_new - y = h B.K), then D."""
     n = rk.N_STAGES
     a = np.zeros((n + 4, n + 5))
+    a[:, 0] = 1.0
     a[:n, 1:n + 1] = rk.A
     a[n, 1:n + 1] = rk.B
     a[n + 1:, 1:] = rk.A_EXTRA
@@ -389,119 +411,193 @@ def _dop853_tableau():
             np.stack([rk.E5, rk.E3]), dense, n, rk.ERROR_ESTIMATOR_ORDER)
 
 
-def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+def _column_rms(x):
+    """RMS over axis 1 of (segments, 9, columns): scipy's norm of each
+    column."""
+    return np.sqrt(np.sum(x * x, axis=1)) / x.shape[1] ** 0.5
 
 
-def _dop853(kernel, y0, times, rel_tol, abs_tol):
-    """States at the ascending `times`, from y0 at times[0], of dy/dt =
-    kernel(t) y under the Dormand-Prince 8(5,3) pair, and the number of
-    accepted steps.
+def _dop853(kernel, block, edges, times, rel_tol, abs_tol):
+    """Solutions of dY/dt = kernel(t) Y on the time segments between the
+    ascending `edges`, segment k from `block[k]` at edges[k], under the
+    Dormand-Prince 8(5,3) pair, with `block` of shape (segments, 9, c).
+    Returns, for each of the ascending `times`, the solution on the segment
+    that owns it (the last segment whose start it has reached), shape
+    (len(times), 9, c); the value at each segment's end, shape
+    (segments, 9, c); and the accepted steps summed over segments.
 
-    This is scipy's DOP853, driven with output times, step for step: its
-    initial step selection, the 12-stage first-same-as-last step, the
-    combined E5/E3 error norm, step control with safety 0.9, factors in
-    [0.2, 10] and exponent -1/8, and the 7th-order dense output (Hairer,
-    Norsett & Wanner, Solving ODEs I, II.6).  Only the grouping of the sums
-    differs.  Each attempt makes one kernel call for all of its stage
-    generators.  The three extra stages and the interpolant's seven rows
-    are computed only on accepted steps that contain output times; each
-    such step keeps its start, width, state and rows, and every output is
-    evaluated from them in one batched pass after the last step.  A step
-    below ten spacings of the floating-point numbers at t raises
-    PropagationError.
+    On each segment this is scipy's DOP853, step for step, with each
+    column of Y held to the tolerances as scipy holds one state vector:
+    its initial step selection (the smallest over the columns), the
+    12-stage first-same-as-last step, the combined E5/E3 error norm of each
+    column, step control with safety 0.9, factors in [0.2, 10] and
+    exponent -1/8 on the largest column norm, so a step is accepted only
+    when every column passes, and the 7th-order dense output (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.6).  With one segment and one
+    column it is scipy's DOP853; only the grouping of the sums differs.
+
+    The segments advance in lockstep, one attempt each per pass: one
+    kernel call builds the stage generators of every active segment, which
+    are scaled by their step in place, and each stage is one `np.dot` of a
+    tableau row with the stage buffer (h K, stage-major) and one batched
+    matmul.  On a pass where some accepted step holds output times, the
+    three extra stages and the interpolant's seven rows are computed for
+    every active segment, and those outputs are evaluated at once.  A
+    segment leaves the pass when it reaches its end.  A step below ten
+    spacings of the floating-point numbers at t raises PropagationError.
     """
     nodes, a, errors, dense, n, order = _dop853_tableau()
     exponent = -1 / (order + 1)
-    buf = np.empty((len(a) + 1, y0.size))     # y, then stages 0..15
-    weights = np.ones_like(a)                 # h * a, with 1 in column 0
-    # stage s: its argument's buffer rows and weights, and its output row
-    chain = [(buf[:s + 1].T, weights[s, :s + 1], buf[s + 1])
-             for s in range(len(a))]
-    t, t_bound = float(times[0]), float(times[-1])
-    y = y0
-    buf[1] = f = kernel(t) @ y
+    segments, dim, cols = block.shape
+    width = dim * cols
 
-    abs_y = np.abs(y)
-    scale = abs_tol + abs_y * rel_tol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t_bound - t)
-    d2 = _rms((kernel(t + h0) @ (y + h0 * f) - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** -exponent
-    h_abs = min(100 * h0, h1, t_bound - t)
+    # per active segment, in this order: its index, time, end, step, last
+    # attempt rejected, state, derivative, next and past-last output
+    ids = np.arange(segments)
+    t, bound = edges[:-1].copy(), edges[1:].copy()
+    y = np.array(block, dtype=float)
+    f = np.matmul(kernel(t), y)
+    done = np.searchsorted(times, t)
+    last = np.append(done[1:], len(times))
 
-    # the dense store: per accepted step holding outputs, its start, width,
-    # state and interpolant rows, and for each output the step it lies in
-    grid = times.tolist()
-    starts, widths = np.empty(len(grid)), np.empty(len(grid))
-    states = np.empty((len(grid), y0.size))
-    interp = np.empty((len(grid), len(dense), y0.size))
-    owner = np.empty(len(grid), dtype=int)
-    done = stored = steps = 0
-    while t < t_bound:
-        buf[0] = y
-        min_step = 10 * math.ulp(t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise PropagationError(
-                    f"adaptive integration failed near t={t:.6g}: required "
-                    f"step size is less than spacing between numbers")
-            t_new = min(t + h_abs, t_bound)
-            h = t_new - t
-            h_abs = abs(h)
-            gens = kernel(t + nodes * h)
-            np.multiply(a[:, 1:], h, out=weights[:, 1:])
-            for gen, (rows_t, w, out) in zip(gens[:n - 1], chain[1:n]):
-                np.dot(gen, np.dot(rows_t, w), out=out)
-            y_new = np.dot(chain[n][0], chain[n][1])
-            np.dot(gens[n - 1], y_new, out=buf[n + 1])
-            abs_new = np.abs(y_new)
-            scale = np.maximum(abs_y, abs_new)
-            scale *= rel_tol
-            scale += abs_tol
-            err = np.dot(errors, buf[1:n + 2])
-            err /= scale
-            err5_2, err3_2 = np.dot(err, err.T).diagonal().tolist()
-            if err5_2 == 0 and err3_2 == 0:
-                error_norm = 0.0
-            else:
-                error_norm = h_abs * err5_2 / math.sqrt(
-                    (err5_2 + 0.01 * err3_2) * y.size)
-            if error_norm < 1:
-                factor = 10.0 if error_norm == 0 else min(
-                    10.0, 0.9 * error_norm ** exponent)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * error_norm ** exponent)
-            rejected = True
+    scale = abs_tol + np.abs(y) * rel_tol
+    d0, d1 = _column_rms(y / scale), _column_rms(f / scale)
+    span = (bound - t)[:, None]
+    # each np.maximum below only keeps the branch np.where drops finite
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6,
+                  0.01 * d0 / np.maximum(d1, 1e-5))
+    h0 = np.minimum(h0, span)
+    f1 = np.einsum("scij,sjc->sic", kernel(t[:, None] + h0),
+                   y + h0[:, None] * f)
+    d2 = _column_rms((f1 - f) / scale) / h0
+    peak = np.maximum(d1, d2)
+    h1 = np.where(peak <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / np.maximum(peak, 1e-15)) ** -exponent)
+    h_abs = np.minimum(np.minimum(100 * h0, h1), span).min(axis=1)
+    y, f = y.reshape(segments, width), f.reshape(segments, width)
+    rejected = np.zeros(segments, dtype=bool)
 
-        end = bisect.bisect_right(grid, t_new)
-        if end > done:
-            for gen, (rows_t, w, out) in zip(gens[n:], chain[n + 1:]):
-                np.dot(gen, np.dot(rows_t, w), out=out)
-            np.dot(dense, buf[1:], out=interp[stored])
-            starts[stored], widths[stored] = t, h
-            states[stored] = y
-            owner[done:end] = stored
-            stored += 1
-            done = end
-        t, y, abs_y = t_new, y_new, abs_new
-        buf[1] = buf[n + 1]
-        steps += 1
+    gen_buf = np.empty(segments * len(nodes) * dim * dim)
+    stage_buf = np.empty((len(a) + 1) * segments * width)
+    arg_buf = np.empty(segments * width)
+    interp_buf = np.empty(len(dense) * segments * width)
+    outputs = np.empty((len(times), width))
+    ends = np.empty((segments, width))
+    steps = 0
+    while ids.size:
+        active = ids.size
+        size = active * width
+        stages = stage_buf[:(len(a) + 1) * size].reshape(len(a) + 1, size)
+        gens = gen_buf[:active * len(nodes) * dim * dim].reshape(
+            active, len(nodes), dim, dim)
+        min_step = 10 * np.spacing(t)
+        h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+        small = h_abs < min_step
+        if small.any():
+            raise PropagationError(
+                f"adaptive integration failed near t={t[small][0]:.6g}: "
+                f"required step size is less than spacing between numbers")
+        t_new = np.minimum(t + h_abs, bound)
+        h = t_new - t
+        kernel(t[:, None] + nodes * h[:, None], out=gens)
+        gens *= h[:, None, None, None]
+        stages[0] = y.reshape(size)
+        np.multiply(f, h[:, None], out=stages[1].reshape(active, width))
+        arg = arg_buf[:size]
+        for s in range(1, n):
+            np.dot(a[s, :s + 1], stages[:s + 1], out=arg)
+            np.matmul(gens[:, s - 1], arg.reshape(active, dim, cols),
+                      out=stages[s + 1].reshape(active, dim, cols))
+        y_new = np.dot(a[n, :n + 1], stages[:n + 1])
+        np.matmul(gens[:, n - 1], y_new.reshape(active, dim, cols),
+                  out=stages[n + 1].reshape(active, dim, cols))
 
-    # y + h sum_k w_k(x) F_k, w_k the running products of x, 1 - x, x, ...:
-    # scipy's nested evaluation of the interpolant, expanded
-    h = widths[owner]
-    x = (times - starts[owner]) / h
-    w = np.cumprod(np.stack([x, 1 - x] * 3 + [x], axis=-1), axis=-1)
-    return (states[owner] + h[:, None] * np.einsum("ok,okj->oj", w,
-                                                   interp[owner]), steps)
+        scale = np.maximum(np.abs(stages[0]), np.abs(y_new))
+        scale *= rel_tol
+        scale += abs_tol
+        err = np.dot(errors, stages[1:n + 2])
+        err /= scale
+        err = err.reshape(2, active, dim, cols)
+        err5_2, err3_2 = np.einsum("nsic,nsic->nsc", err, err)
+        denom = np.sqrt((err5_2 + 0.01 * err3_2) * dim)
+        error_norm = np.divide(err5_2, denom, out=np.zeros_like(denom),
+                               where=denom != 0).max(axis=1)
+        # the factor from a zero norm, clipped to 10 below, stays 10
+        factor = 0.9 * np.maximum(error_norm, 1e-300) ** exponent
+        ok = error_norm < 1
+        grow = np.minimum(10.0, factor)
+        h_abs = h * np.where(ok, np.where(rejected, np.minimum(1.0, grow),
+                                          grow), np.fmax(0.2, factor))
+        y_new = y_new.reshape(active, width)
+
+        end = np.minimum(np.searchsorted(times, t_new, side="right"), last)
+        owns = ok & (end > done)
+        if owns.any():
+            for s in range(n + 1, len(a)):
+                np.dot(a[s, :s + 1], stages[:s + 1], out=arg)
+                np.matmul(gens[:, s - 1], arg.reshape(active, dim, cols),
+                          out=stages[s + 1].reshape(active, dim, cols))
+            interp = interp_buf[:len(dense) * size].reshape(len(dense),
+                                                            size)
+            np.dot(dense, stages[1:], out=interp)
+            interp = interp.reshape(len(dense), active, width)
+            pos = np.flatnonzero(owns)
+            count = end[pos] - done[pos]
+            seg = np.repeat(pos, count)
+            out = np.arange(count.sum()) + np.repeat(
+                done[pos] - np.cumsum(count) + count, count)
+            # y + sum_k w_k(x) F_k, w_k the running products of x, 1 - x,
+            # x, ...: scipy's nested evaluation of the interpolant, expanded
+            x = (times[out] - t[seg]) / h[seg]
+            w = np.cumprod(np.stack([x, 1 - x] * 3 + [x], axis=-1), axis=-1)
+            outputs[out] = y[seg] + np.matmul(
+                w[:, None], interp[:, seg].swapaxes(0, 1))[:, 0]
+            done[pos] = end[pos]
+
+        steps += int(np.count_nonzero(ok))
+        y[ok] = y_new[ok]
+        f[ok] = stages[n + 1].reshape(active, width)[ok] / h[ok, None]
+        t = np.where(ok, t_new, t)
+        rejected = ~ok
+        finished = ok & (t_new == bound)
+        if finished.any():
+            ends[ids[finished]] = y_new[finished]
+            keep = ~finished
+            ids, t, bound, h_abs, rejected, y, f, done, last = (
+                v[keep] for v in (ids, t, bound, h_abs, rejected, y, f,
+                                  done, last))
+    return (outputs.reshape(len(times), dim, cols),
+            ends.reshape(block.shape), steps)
+
+
+def _segmented(kernel, y0, times, rel_tol, abs_tol):
+    """States at the ascending `times`, from y0 at times[0], of
+    dy/dt = kernel(t) y, from the propagators of `_SEGMENTS` equal time
+    segments.
+
+    The generator does not depend on the state, so `_dop853` integrates
+    each segment's propagator, Y' = kernel(t) Y with Y = I at the segment's
+    start, for all segments at once.  Each segment-end propagator must keep
+    the trace, tau Phi_k = tau with tau = pack(I), to 10 x TRACE_TOL, or
+    PropagationError is raised; this holds between samples too.  The
+    segment starts then follow in order, y_{k+1} = Phi_k y_k, and each
+    output is Phi(t) y_k on its segment.
+    """
+    edges = np.linspace(times[0], times[-1], _SEGMENTS + 1)
+    eye = np.broadcast_to(np.eye(y0.size), (_SEGMENTS, y0.size, y0.size))
+    phis, ends, _ = _dop853(kernel, eye, edges, times, rel_tol, abs_tol)
+    drift = np.abs(_TRACE @ ends - _TRACE).max(axis=-1)
+    if drift.max() > 10 * TRACE_TOL:
+        k = int(np.argmax(drift))
+        raise PropagationError(
+            f"trace drifted by {drift[k]:.3e} over [{edges[k]:.6g}, "
+            f"{edges[k + 1]:.6g}]")
+    starts = np.empty((_SEGMENTS, y0.size))
+    starts[0] = y0
+    for k in range(_SEGMENTS - 1):
+        starts[k + 1] = ends[k] @ starts[k]
+    owner = np.searchsorted(edges[1:-1], times, side="right")
+    return np.matmul(phis, starts[owner, :, None])[..., 0]
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -574,8 +670,8 @@ def propagate(config: Configuration, rates: RateSet, schedule: PulseSchedule,
 
     `settings.basis` picks the equation and the meaning of rho0: the bare
     density matrix, or the dressed one, R(0) = U(0)^dag rho(0) U(0).
-    `settings.method` picks the integrator: `_dop853` at `samples` uniform
-    times, or `_magnus4` on `settings.n_slices` slices.  Either way the
+    `settings.method` picks the integrator: `_segmented` at `samples`
+    uniform times, or `_magnus4` on `settings.n_slices` slices.  Either way the
     Trajectory carries the bare and the dressed density matrices and the
     frame diagnostics.
     """
@@ -589,7 +685,8 @@ def propagate(config: Configuration, rates: RateSet, schedule: PulseSchedule,
                              samples)
     else:
         times = np.linspace(0.0, schedule.horizon, samples)
-        ys, _ = _dop853(kernel, y0, times, settings.rel_tol, settings.abs_tol)
+        ys = _segmented(kernel, y0, times, settings.rel_tol,
+                        settings.abs_tol)
     fr = adiabatic.frame(schedule, times)
     rho = unpack(ys)
     if settings.basis == "adiabatic":

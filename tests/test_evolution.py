@@ -414,10 +414,19 @@ class TestDressedGenerator:
                               _complex_static_rhs(s, d9, dissipative, r))
 
 
+def one_segment(kernel, y0, times, rel_tol, abs_tol):
+    """The segment stepper on one segment and one column, the 9-vector y0:
+    the states at `times` and the accepted steps."""
+    out, _, steps = evolution._dop853(kernel, y0[None, :, None],
+                                      times[[0, -1]], times, rel_tol, abs_tol)
+    return out[..., 0], steps
+
+
 class TestDop853:
-    """The in-house stepper against scipy's DOP853 driven through
-    `solve_ivp` on the same generator: the same accepted steps and the same
-    states at the output times, which no step end of the reference hits."""
+    """The in-house stepper, on one segment and one column, against scipy's
+    DOP853 driven through `solve_ivp` on the same generator: the same
+    accepted steps and the same states at the output times, which no step
+    end of the reference hits."""
 
     RATES = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.01)
 
@@ -447,7 +456,7 @@ class TestDop853:
         u = frame(s, 0.0).U if basis == "adiabatic" else np.eye(3)
         y0 = pack(u.conj().T @ SIG11 @ u)
         times = np.linspace(0.0, 1.0, 201)
-        got, steps = evolution._dop853(kernel, y0, times, rel_tol, abs_tol)
+        got, steps = one_segment(kernel, y0, times, rel_tol, abs_tol)
         ref = scipy.integrate.solve_ivp(
             lambda t, y: kernel(t) @ y, (0.0, 1.0), y0, method="DOP853",
             rtol=rel_tol, atol=abs_tol, dense_output=True)
@@ -478,10 +487,10 @@ class TestDenseOutput:
         do not depend on the output times, so the end agrees with a run
         that outputs 201 times."""
         kernel, y0 = self.problem(basis)
-        two, steps = evolution._dop853(kernel, y0, np.array([0.0, 1.0]),
+        two, steps = one_segment(kernel, y0, np.array([0.0, 1.0]),
+                                 1e-9, 1e-11)
+        many, steps_many = one_segment(kernel, y0, np.linspace(0.0, 1.0, 201),
                                        1e-9, 1e-11)
-        many, steps_many = evolution._dop853(
-            kernel, y0, np.linspace(0.0, 1.0, 201), 1e-9, 1e-11)
         assert steps == steps_many
         assert np.array_equal(two[0], y0)
         assert np.max(np.abs(two[1] - many[-1])) <= 1e-14
@@ -495,25 +504,30 @@ class TestDenseOutput:
             lambda t, y: kernel(t) @ y, (0.0, 1.0), y0, method="DOP853",
             rtol=1e-9, atol=1e-11)
         assert ref.success
-        got, steps = evolution._dop853(kernel, y0, ref.t, 1e-9, 1e-11)
+        got, steps = one_segment(kernel, y0, ref.t, 1e-9, 1e-11)
         assert steps == ref.t.size - 1
         assert np.max(np.abs(got - ref.y.T)) <= 1e-12
 
 
 class TestStepCounts:
-    """Accepted DOP853 steps of the builtins through the real `propagate`
-    path, one count per sweep point.  The counts are deterministic; a
-    change that moves them changes the numerics and says so."""
+    """Accepted DOP853 steps of the builtins, summed over the time
+    segments, through the real `propagate` path, one count per sweep point.
+    The counts are deterministic; a change that moves them changes the
+    numerics and says so.  Step control on every propagator column makes
+    them depend on the generator alone, not on the initial state, and the
+    maximum over columns does not see a relabelling of the two ground
+    states; so `stirap_fig2` and `bstirap_fig3`, which differ in the pulse
+    order under equal rates, take the same steps."""
 
     COUNTS = {
-        ("stirap_fig2", "bare"): [1841],
-        ("stirap_fig2", "adiabatic"): [1914],
-        ("bstirap_fig3", "bare"): [2096],
-        ("bstirap_fig3", "adiabatic"): [2132],
-        ("purity_delta_fig4", "bare"): [500, 781, 2095],
-        ("purity_delta_fig4", "adiabatic"): [473, 766, 2131],
-        ("hadamard_hold", "bare"): [767],
-        ("hadamard_hold", "adiabatic"): [772],
+        ("stirap_fig2", "bare"): [2536],
+        ("stirap_fig2", "adiabatic"): [2301],
+        ("bstirap_fig3", "bare"): [2536],
+        ("bstirap_fig3", "adiabatic"): [2301],
+        ("purity_delta_fig4", "bare"): [646, 989, 2536],
+        ("purity_delta_fig4", "adiabatic"): [562, 878, 2301],
+        ("hadamard_hold", "bare"): [2624],
+        ("hadamard_hold", "adiabatic"): [2304],
     }
 
     @pytest.mark.parametrize("name, basis", list(COUNTS))
@@ -523,15 +537,112 @@ class TestStepCounts:
         stepper = evolution._dop853
 
         def recording(*args):
-            out, steps = stepper(*args)
-            counts.append(steps)
-            return out, steps
+            out = stepper(*args)
+            counts.append(out[-1])
+            return out
 
         monkeypatch.setattr(evolution, "_dop853", recording)
         cfg = cli.load_config(name, {"propagator.basis": basis})
         for _, point, schedule in cli._points(cfg):
             cli.run_trajectory(point, schedule)
         assert counts == self.COUNTS[name, basis]
+
+
+class TestSegments:
+    """The default route integrates the propagators of `_SEGMENTS` time
+    segments and chains them."""
+
+    # max |rho - rho_ref| of a one-segment 9-vector run at the default
+    # tolerances: the default route may not do worse
+    ONE_SEGMENT_ERR = {
+        ("stirap_fig2", "bare"): 3.5e-9,
+        ("stirap_fig2", "adiabatic"): 2.4e-9,
+        ("bstirap_fig3", "bare"): 7.6e-9,
+        ("bstirap_fig3", "adiabatic"): 6.2e-9,
+        ("purity_delta_fig4", "bare"): 7.5e-9,
+        ("purity_delta_fig4", "adiabatic"): 7.3e-9,
+        ("hadamard_hold", "bare"): 1.1e-9,
+        ("hadamard_hold", "adiabatic"): 1.1e-9,
+    }
+
+    @pytest.mark.parametrize("name, basis", list(ONE_SEGMENT_ERR))
+    def test_accuracy_against_tight_reference(self, monkeypatch, name,
+                                              basis):
+        """The reference is the same tableau on one segment and the
+        9-vector, at rtol 1e-12 and atol 1e-14, through the same path."""
+        from threelevel import cli
+        cfg = cli.load_config(name, {"propagator.basis": basis})
+        points = cli._points(cfg)
+        got = [cli.run_trajectory(p, s).rho for _, p, s in points]
+
+        def reference(kernel, y0, times, rel_tol, abs_tol):
+            return one_segment(kernel, y0, times, 1e-12, 1e-14)[0]
+
+        monkeypatch.setattr(evolution, "_segmented", reference)
+        ref = [cli.run_trajectory(p, s).rho for _, p, s in points]
+        err = max(np.max(np.abs(a - b)) for a, b in zip(got, ref))
+        assert err <= self.ONE_SEGMENT_ERR[name, basis]
+
+    @pytest.mark.parametrize("basis", evolution.BASES)
+    def test_trace_checked_between_samples(self, monkeypatch, basis):
+        """A generator that is made not to keep the trace, by
+        eps sin(2 pi t / T) times the identity, changes the trace within
+        segments but not at t = 0 and t = T, the only samples.  The check
+        at the segment ends still catches it."""
+        make = evolution._generator_kernel
+
+        def leaky(schedule, d9, basis):
+            kernel = make(schedule, d9, basis)
+
+            def at(t, out=None):
+                gens = kernel(t, out)
+                gens += 1e-4 * np.sin(2 * np.pi * np.asarray(t))[
+                    ..., None, None] * np.eye(9)
+                return gens
+            return at
+
+        monkeypatch.setattr(evolution, "_generator_kernel", leaky)
+        s = make_stirap_schedule(50.0, DetuningSchedule(delta0=200.0), 1.0,
+                                 "counterintuitive")
+        rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.01)
+        rho0 = SIG11
+        if basis == "adiabatic":
+            u = frame(s, 0.0).U
+            rho0 = u.conj().T @ SIG11 @ u
+        with pytest.raises(PropagationError, match="trace drifted by .* over"):
+            propagate(Configuration.LAMBDA, rates, s, rho0,
+                      PropagatorSettings(basis=basis), samples=2)
+
+    def test_step_underflow(self):
+        """y' = y / (0.49 - t) blows up inside one segment, whose steps
+        shrink until they underflow."""
+        def kernel(t, out=None):
+            t = np.asarray(t, dtype=float)
+            if out is None:
+                out = np.empty(t.shape + (9, 9))
+            out[...] = np.eye(9) / (0.49 - t)[..., None, None]
+            return out
+
+        times = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(PropagationError,
+                           match="failed near t=0.49.*spacing between"):
+            evolution._segmented(kernel, pack(SIG11), times, 1e-9, 1e-11)
+
+    @pytest.mark.parametrize("basis", evolution.BASES)
+    def test_steps_independent_of_output_grid(self, basis):
+        """The segments are fixed in time, so the last state does not
+        depend on how many samples come before it."""
+        s = make_stirap_schedule(50.0, DetuningSchedule(delta0=200.0), 1.0,
+                                 "counterintuitive")
+        rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.01)
+        rho0 = SIG11
+        if basis == "adiabatic":
+            u = frame(s, 0.0).U
+            rho0 = u.conj().T @ SIG11 @ u
+        ends = [propagate(Configuration.LAMBDA, rates, s, rho0,
+                          PropagatorSettings(basis=basis),
+                          samples=n).rho[-1] for n in (2, 50, 333)]
+        assert max(np.max(np.abs(e - ends[0])) for e in ends) <= 1e-13
 
 
 rate_or_off = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
