@@ -699,7 +699,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="sets propagator.method")
     parser.add_argument("--tol", type=float, default=None,
                         help="sets propagator.rel_tol, and "
-                             "propagator.abs_tol to 1e-2 times it")
+                             "propagator.abs_tol to 1e-2 times it; a "
+                             "static schedule, stepped by its exact "
+                             "exponential, does not use them")
     sub = parser.add_subparsers(dest="command", required=True)
     for verb in ("run", "sweep", "validate"):
         p = sub.add_parser(verb)

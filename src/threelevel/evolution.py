@@ -37,7 +37,12 @@ interpolated propagator applied to the state at the segment's start.  The
 other integrator is `_magnus4`, the matrix-exponential oracle, which takes
 fourth-order Magnus steps (two Gauss nodes per slice) exponentiated by
 `expm`.  So each integrator runs in either basis, and the two bases and
-the two integrators are independent cross-checks of one another.
+the two integrators are independent cross-checks of one another.  A static
+schedule (constant drives and detuning) has one constant generator G, and
+the default method then needs no integrator: `_static` takes the exact
+step map exp(G dt) of one sample interval, by one `expm` call, and
+applies it once per sample, so rel_tol and abs_tol do not apply to it.
+The oracle keeps its Magnus slices on static schedules too.
 """
 
 import functools
@@ -282,7 +287,8 @@ def _generator_kernel(schedule: PulseSchedule, d9: np.ndarray, basis: str):
     weights `_dressed_table` by the quasienergies, the rotation rates and
     the harmonic products of the frame angles, from `adiabatic.phasors` and
     `_waves`.  A static schedule has one constant generator, which is built
-    here and only copied to the times.
+    here and only copied to the times; the default method reads it once,
+    at t = 0, and exponentiates it (`_static`).
     """
     if basis == "bare":
         constant = schedule.detuning.kind == "constant"
@@ -345,15 +351,17 @@ def _validate_initial(rho0: np.ndarray, name: str) -> np.ndarray:
     return rho0
 
 
-def _invariant_margins(settings: PropagatorSettings) -> tuple:
+def _invariant_margins(settings: PropagatorSettings, static: bool) -> tuple:
     """How far `_assemble` lets populations go below 0 and purity leave
     [1/3, 1]: ten times POSITIVITY_TOL and PURITY_TOL, scaled by
-    rel_tol / 1e-9 where the adaptive method runs above its default
-    rel_tol of 1e-9, since its error, and these drifts with it, grow with
-    rel_tol.  At the default and tighter tolerances, and for the oracle,
-    which has no rel_tol, they are the fixed margins."""
+    rel_tol / 1e-9 where the adaptive method integrates a time-dependent
+    (not `static`) generator above its default rel_tol of 1e-9, since its
+    error, and these drifts with it, grow with rel_tol.  At the default and
+    tighter tolerances, for a static schedule, whose exact step map has no
+    tolerance-driven error, and for the oracle, which has no rel_tol, they
+    are the fixed margins."""
     scale = 1.0
-    if settings.method == "adaptive_rk":
+    if settings.method == "adaptive_rk" and not static:
         scale = max(1.0, settings.rel_tol / _DEFAULT_REL_TOL)
     return 10 * POSITIVITY_TOL * scale, 10 * PURITY_TOL * scale
 
@@ -600,6 +608,29 @@ def _segmented(kernel, y0, times, rel_tol, abs_tol):
     return np.matmul(phis, starts[owner, :, None])[..., 0]
 
 
+def _static(kernel, y0, times):
+    """States at the uniform `times`, from y0 at times[0], of dy/dt = G y
+    for the constant generator G = kernel(times[0]): y_k = P y_{k-1}, with
+    the step map P = exp(G dt) of one sample interval computed once by
+    `expm` (scaling and squaring; Moler & Van Loan, SIAM Rev. 45, 3
+    (2003)).  This is exact up to rounding, so no tolerance applies.  P must
+    keep the trace, tau P = tau with tau = pack(I), to 10 x TRACE_TOL, or
+    PropagationError is raised, as for `_segmented`'s segment ends.
+    """
+    dt = times[1] - times[0]
+    step = expm(kernel(times[0]) * dt)
+    drift = np.abs(_TRACE @ step - _TRACE).max()
+    if drift > 10 * TRACE_TOL:
+        raise PropagationError(
+            f"trace drifted by {drift:.3e} over one sample interval of "
+            f"{dt:.6g}")
+    out = np.empty((times.size, y0.size))
+    out[0] = y0
+    for k in range(1, times.size):
+        np.matmul(step, out[k - 1], out=out[k])
+    return out
+
+
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of each real square matrix in a stack.
 
@@ -670,8 +701,11 @@ def propagate(config: Configuration, rates: RateSet, schedule: PulseSchedule,
 
     `settings.basis` picks the equation and the meaning of rho0: the bare
     density matrix, or the dressed one, R(0) = U(0)^dag rho(0) U(0).
-    `settings.method` picks the integrator: `_segmented` at `samples`
-    uniform times, or `_magnus4` on `settings.n_slices` slices.  Either way the
+    `settings.method` picks the integrator: for "adaptive_rk", `_segmented`
+    at `samples` uniform times, held to `rel_tol` and `abs_tol`, or, when
+    `schedule.is_static`, `_static`, the exact step map of one sample
+    interval, to which the tolerances do not apply; for "expm_oracle",
+    `_magnus4` on `settings.n_slices` slices, static or not.  Either way the
     Trajectory carries the bare and the dressed density matrices and the
     frame diagnostics.
     """
@@ -685,13 +719,17 @@ def propagate(config: Configuration, rates: RateSet, schedule: PulseSchedule,
                              samples)
     else:
         times = np.linspace(0.0, schedule.horizon, samples)
-        ys = _segmented(kernel, y0, times, settings.rel_tol,
-                        settings.abs_tol)
+        if schedule.is_static:
+            ys = _static(kernel, y0, times)
+        else:
+            ys = _segmented(kernel, y0, times, settings.rel_tol,
+                            settings.abs_tol)
     fr = adiabatic.frame(schedule, times)
     rho = unpack(ys)
     if settings.basis == "adiabatic":
         rho = fr.U @ rho @ fr.U.conj().swapaxes(-1, -2)
-    return _assemble(rho, fr, _invariant_margins(settings))
+    return _assemble(rho, fr, _invariant_margins(settings,
+                                                 schedule.is_static))
 
 
 def closed_system_solution(frame: adiabatic.AdiabaticFrame, R0: np.ndarray,

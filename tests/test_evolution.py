@@ -517,7 +517,9 @@ class TestStepCounts:
     them depend on the generator alone, not on the initial state, and the
     maximum over columns does not see a relabelling of the two ground
     states; so `stirap_fig2` and `bstirap_fig3`, which differ in the pulse
-    order under equal rates, take the same steps."""
+    order under equal rates, take the same steps.  The static
+    `hadamard_hold` takes none: each static point makes exactly one `expm`
+    call, on one 9x9 matrix, and the others make none."""
 
     COUNTS = {
         ("stirap_fig2", "bare"): [2536],
@@ -526,25 +528,32 @@ class TestStepCounts:
         ("bstirap_fig3", "adiabatic"): [2301],
         ("purity_delta_fig4", "bare"): [646, 989, 2536],
         ("purity_delta_fig4", "adiabatic"): [562, 878, 2301],
-        ("hadamard_hold", "bare"): [2624],
-        ("hadamard_hold", "adiabatic"): [2304],
+        ("hadamard_hold", "bare"): [],
+        ("hadamard_hold", "adiabatic"): [],
     }
 
     @pytest.mark.parametrize("name, basis", list(COUNTS))
     def test_builtin(self, monkeypatch, name, basis):
         from threelevel import cli
-        counts = []
-        stepper = evolution._dop853
+        counts, shapes = [], []
+        stepper, exponential = evolution._dop853, evolution.expm
 
         def recording(*args):
             out = stepper(*args)
             counts.append(out[-1])
             return out
 
+        def recording_expm(a):
+            shapes.append(np.shape(a))
+            return exponential(a)
+
         monkeypatch.setattr(evolution, "_dop853", recording)
+        monkeypatch.setattr(evolution, "expm", recording_expm)
         cfg = cli.load_config(name, {"propagator.basis": basis})
         for _, point, schedule in cli._points(cfg):
+            del shapes[:]
             cli.run_trajectory(point, schedule)
+            assert shapes == ([(9, 9)] if schedule.is_static else [])
         assert counts == self.COUNTS[name, basis]
 
 
@@ -569,16 +578,19 @@ class TestSegments:
     def test_accuracy_against_tight_reference(self, monkeypatch, name,
                                               basis):
         """The reference is the same tableau on one segment and the
-        9-vector, at rtol 1e-12 and atol 1e-14, through the same path."""
+        9-vector, at rtol 1e-12 and atol 1e-14, on the generator kernel of
+        the same path, whether it runs `_segmented` or, for a static
+        schedule, `_static`."""
         from threelevel import cli
         cfg = cli.load_config(name, {"propagator.basis": basis})
         points = cli._points(cfg)
         got = [cli.run_trajectory(p, s).rho for _, p, s in points]
 
-        def reference(kernel, y0, times, rel_tol, abs_tol):
+        def reference(kernel, y0, times, *tolerances):
             return one_segment(kernel, y0, times, 1e-12, 1e-14)[0]
 
         monkeypatch.setattr(evolution, "_segmented", reference)
+        monkeypatch.setattr(evolution, "_static", reference)
         ref = [cli.run_trajectory(p, s).rho for _, p, s in points]
         err = max(np.max(np.abs(a - b)) for a, b in zip(got, ref))
         assert err <= self.ONE_SEGMENT_ERR[name, basis]
@@ -643,6 +655,105 @@ class TestSegments:
                           PropagatorSettings(basis=basis),
                           samples=n).rho[-1] for n in (2, 50, 333)]
         assert max(np.max(np.abs(e - ends[0])) for e in ends) <= 1e-13
+
+
+drive_or_off = st.one_of(st.just(0.0), st.floats(1.0, 150.0))
+
+
+class TestStaticRoute:
+    """On a static schedule the default method applies the exact step map
+    exp(G dt) of one sample interval, computed once (`_static`)."""
+
+    RATES = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.1)
+
+    @staticmethod
+    def start_state(s, rho0, basis):
+        u = frame(s, 0.0).U if basis == "adiabatic" else np.eye(3)
+        return u.conj().T @ rho0 @ u
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(list(Configuration)),
+           st.tuples(*[st.floats(0.0, 5.0)] * 5),
+           drive_or_off, drive_or_off, st.floats(-1000.0, 1000.0),
+           st.integers(0, 2**32 - 1), st.sampled_from(evolution.BASES))
+    def test_matches_complex_liouvillian(self, config, rates, omega_p,
+                                         omega_c, delta, seed, basis):
+        """Random static drives and rates, in either basis, against
+        scipy's exponential of the complex 9x9 Liouvillian (row-major vec
+        convention) at every sample time.  The dressed basis needs a drive:
+        with both off, the Rabi floor stands in for the total coupling, so
+        the dressed equation is not the bare one (3.5e-10 apart over T)."""
+        assume(basis == "bare" or max(omega_p, omega_c) > 0.0)
+        rates = RateSet(*rates)
+        s = static_schedule(omega_p, omega_c, delta)
+        rho0 = random_density(np.random.default_rng(seed))
+        traj = propagate(config, rates, s, self.start_state(s, rho0, basis),
+                         PropagatorSettings(basis=basis), samples=51)
+        h = omega_p * (ketbra(1, 3) + ketbra(3, 1)) \
+            + omega_c * (ketbra(2, 3) + ketbra(3, 2)) + delta * ketbra(3, 3)
+        eye = np.eye(3)
+        m = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for op in lindblad_ops(config, rates):
+            anti = op.conj().T @ op
+            m += np.kron(op, op.conj()) \
+                - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
+        ref = np.stack([scipy.linalg.expm(m * t) @ rho0.reshape(9)
+                        for t in traj.times]).reshape(-1, 3, 3)
+        assert np.max(np.abs(traj.rho - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("basis", evolution.BASES)
+    def test_last_row_independent_of_output_grid(self, basis):
+        """P^(n - 1) over n samples is exp(G T) for any n."""
+        s = static_schedule(100.0, 100.0, 1000.0)
+        rho0 = self.start_state(s, SIG11, basis)
+        ends = [propagate(Configuration.LAMBDA, self.RATES, s, rho0,
+                          PropagatorSettings(basis=basis),
+                          samples=n).rho[-1] for n in (2, 50, 333)]
+        assert max(np.max(np.abs(e - ends[0])) for e in ends) <= 1e-12
+
+    @pytest.mark.parametrize("basis", evolution.BASES)
+    def test_trace_checked(self, monkeypatch, basis):
+        """A constant generator made not to keep the trace, by 1e-4 times
+        the identity, fails the step map's trace check."""
+        make = evolution._generator_kernel
+
+        def leaky(schedule, d9, basis):
+            kernel = make(schedule, d9, basis)
+
+            def at(t, out=None):
+                return kernel(t, out) + 1e-4 * np.eye(9)
+            return at
+
+        monkeypatch.setattr(evolution, "_generator_kernel", leaky)
+        s = static_schedule(100.0, 100.0, 1000.0)
+        with pytest.raises(PropagationError,
+                           match="trace drifted by .* sample interval"):
+            propagate(Configuration.LAMBDA, self.RATES, s,
+                      self.start_state(s, SIG11, basis),
+                      PropagatorSettings(basis=basis), samples=2)
+
+    @pytest.mark.parametrize("basis", evolution.BASES)
+    def test_oracle_keeps_its_slices(self, monkeypatch, basis):
+        """`expm_oracle` on a static schedule still runs `_magnus4` at
+        `n_slices`, not the static route."""
+        calls = []
+        magnus = evolution._magnus4
+
+        def recording(kernel, y0, horizon, n_slices, samples):
+            calls.append(n_slices)
+            return magnus(kernel, y0, horizon, n_slices, samples)
+
+        def forbidden(*args):
+            raise AssertionError("oracle took the static route")
+
+        monkeypatch.setattr(evolution, "_magnus4", recording)
+        monkeypatch.setattr(evolution, "_static", forbidden)
+        s = static_schedule(100.0, 100.0, 1000.0)
+        propagate(Configuration.LAMBDA, self.RATES, s,
+                  self.start_state(s, SIG11, basis), oracle(300, basis),
+                  samples=11)
+        assert calls == [300]
 
 
 rate_or_off = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
@@ -774,16 +885,43 @@ class TestTrajectoryInvariants:
 
     def test_invariant_margins(self):
         """Ten times the fixed tolerances at the default rel_tol, at any
-        tighter one and for the oracle; scaled with a looser rel_tol."""
+        tighter one, for the oracle and for a static schedule; scaled with
+        a looser rel_tol on a time-dependent one."""
         fixed = (10 * evolution.POSITIVITY_TOL, 10 * evolution.PURITY_TOL)
         assert fixed == (1e-7, 1e-9)
         for settings in (PropagatorSettings(), TIGHT,
                          PropagatorSettings(rel_tol=1e-13),
                          oracle(4000), replace(oracle(4000), rel_tol=1e-6)):
-            assert evolution._invariant_margins(settings) == fixed
-        assert evolution._invariant_margins(
-            PropagatorSettings(rel_tol=1e-7)) == pytest.approx(
-                (100 * fixed[0], 100 * fixed[1]), rel=1e-15)
+            for static in (False, True):
+                assert evolution._invariant_margins(settings, static) == fixed
+        loose = PropagatorSettings(rel_tol=1e-7)
+        assert evolution._invariant_margins(loose, False) == pytest.approx(
+            (100 * fixed[0], 100 * fixed[1]), rel=1e-15)
+        assert evolution._invariant_margins(loose, True) == fixed
+
+    def test_static_run_checked_at_fixed_margins(self, monkeypatch):
+        """The exact static route has no tolerance-driven error: a static
+        run at rel_tol 1e-6 is checked at the fixed margins, a transfer at
+        the same rel_tol at margins 1000 times wider."""
+        margins = []
+        assemble = evolution._assemble
+
+        def recording(rho, fr, chosen):
+            margins.append(chosen)
+            return assemble(rho, fr, chosen)
+
+        monkeypatch.setattr(evolution, "_assemble", recording)
+        loose = PropagatorSettings(rel_tol=1e-6, abs_tol=1e-8)
+        rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.1)
+        for s in (static_schedule(100.0, 100.0, 1000.0),
+                  make_stirap_schedule(50.0, DetuningSchedule(delta0=200.0),
+                                       1.0, "counterintuitive")):
+            propagate(Configuration.LAMBDA, rates, s, SIG11, loose,
+                      samples=21)
+        fixed = (10 * evolution.POSITIVITY_TOL, 10 * evolution.PURITY_TOL)
+        assert margins[0] == fixed
+        assert margins[1] == pytest.approx((1000 * fixed[0],
+                                            1000 * fixed[1]), rel=1e-15)
 
     @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
