@@ -36,7 +36,10 @@ into the states at the segment starts, and each output is its segment's
 interpolated propagator applied to the state at the segment's start.  The
 other integrator is `_magnus4`, the matrix-exponential oracle, which takes
 fourth-order Magnus steps (two Gauss nodes per slice) exponentiated by
-`expm`.  So each integrator runs in either basis, and the two bases and
+`expm` in stacks of `_ORACLE_BLOCK` slices: seven batched matrix products
+per stack evaluate the Taylor polynomial (Paterson-Stockmeyer), and one
+more per halving squares the slices whose exponent has a 1-norm of 1 or
+more.  So each integrator runs in either basis, and the two bases and
 the two integrators are independent cross-checks of one another.  A static
 schedule (constant drives and detuning) has one constant generator G, and
 the default method then needs no integrator: `_static` takes the exact
@@ -631,21 +634,42 @@ def _static(kernel, y0, times):
     return out
 
 
+# Row j holds the coefficients 1/(4j + i)!, i = 0..3, of
+# B_j = sum_i X^i / (4j + i)!, the blocks of the degree-18 Taylor polynomial
+# sum_j Y^j B_j in Y = X^4 (B_4 stops at X^2).
+_TAYLOR_BLOCKS = np.array([[1.0 / math.factorial(4 * j + i)
+                            if 4 * j + i <= 18 else 0.0 for i in range(4)]
+                           for j in range(5)])
+
+
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of each real square matrix in a stack.
 
-    Each matrix is scaled by 2^-s, with s the smallest power that brings
-    its 1-norm to at most 1, exponentiated by its Taylor series of degree
-    18, whose remainder is then below 1e-17 in 1-norm, and squared s times.
+    Each matrix A is scaled to X = 2^-s A, with s >= 0 the smallest power
+    that brings its 1-norm below 1, exponentiated by its Taylor series of
+    degree 18, whose remainder is then below 1e-17 in 1-norm, and squared s
+    times.  The series is evaluated by Paterson and Stockmeyer's scheme
+    (SIAM J. Comput. 2, 60 (1973)) as B0 + Y(B1 + Y(B2 + Y(B3 + Y B4)))
+    with Y = X^4 and each B_j a combination of I, X, X^2 and X^3: seven
+    matrix products per stack (X^2, X^3, X^4 and four Horner steps) where
+    Horner's rule in X takes seventeen.
     """
     a = np.asarray(a, dtype=float)
     _, s = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))
     s = np.maximum(s, 0)
-    x = np.ldexp(a, -s[..., None, None])
-    eye = np.eye(a.shape[-1])
-    out = eye + x / 18.0
-    for k in range(17, 0, -1):
-        out = eye + (x @ out) / k
+    powers = np.empty((4,) + a.shape)        # I, X, X^2, X^3
+    powers[0] = np.eye(a.shape[-1])
+    # a power of two: the scaling is exact
+    np.multiply(a, np.ldexp(1.0, -s)[..., None, None], out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    y = powers[2] @ powers[2]
+    blocks = (_TAYLOR_BLOCKS @ powers.reshape(4, -1)).reshape(
+        (5,) + a.shape)
+    out = blocks[4]
+    for block in blocks[3::-1]:
+        out = y @ out
+        out += block
     for k in range(s.max(initial=0)):
         out = np.where((s > k)[..., None, None], out @ out, out)
     return out
@@ -670,7 +694,7 @@ def _magnus4(kernel, y0, horizon, n_slices, samples):
     `_assemble` rejects.
     """
     boundaries = np.linspace(0.0, horizon, n_slices + 1)
-    keep = np.rint(np.linspace(0, n_slices, samples)).astype(int)
+    keep = np.rint(np.linspace(0, n_slices, samples)).astype(int).tolist()
     h = boundaries[1] - boundaries[0]
     mids = 0.5 * (boundaries[:-1] + boundaries[1:])
     gauss = np.array([-1.0, 1.0]) * h / (2.0 * math.sqrt(3.0))
@@ -683,9 +707,10 @@ def _magnus4(kernel, y0, horizon, n_slices, samples):
         a1, a2 = a[:, 0], a[:, 1]                 # (block, 9, 9) each
         omega = (a2 @ a1 - a1 @ a2) * (math.sqrt(3.0) / 12.0 * h * h)
         omega += (0.5 * h) * (a1 + a2)
+        # keep[-1] is the last boundary, so j stays below samples here
         for k, prop in enumerate(expm(omega), start + 1):
-            r = prop @ r
-            if j < samples and k == keep[j]:      # boundary k is a sample
+            r = np.dot(prop, r)
+            if k == keep[j]:                      # boundary k is a sample
                 out[j] = r
                 j += 1
     return out, boundaries[keep]

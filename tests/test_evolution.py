@@ -40,6 +40,49 @@ def random_density(rng):
     return rho / np.trace(rho).real
 
 
+def liouvillian_states(config, rates, schedule, rho0, times,
+                       xi_appendix_verbatim=False):
+    """Bare-basis states of a static schedule at `times`, from rho0:
+    scipy's exponential of the complex 9x9 Liouvillian (row-major vec
+    convention) at each time."""
+    h = float(schedule.pump.value(0.0)) * (ketbra(1, 3) + ketbra(3, 1)) \
+        + float(schedule.stokes.value(0.0)) * (ketbra(2, 3) + ketbra(3, 2)) \
+        + schedule.detuning.delta0 * ketbra(3, 3)
+    eye = np.eye(3)
+    m = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for op in lindblad_ops(config, rates, xi_appendix_verbatim):
+        anti = op.conj().T @ op
+        m += np.kron(op, op.conj()) \
+            - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
+    return np.stack([scipy.linalg.expm(m * t) @ rho0.reshape(9)
+                     for t in times]).reshape(-1, 3, 3)
+
+
+def record_expm(monkeypatch):
+    """Make `evolution.expm` record each call's stack and result, in call
+    order, in the returned list."""
+    calls = []
+    exponential = evolution.expm
+
+    def recording(a):
+        out = exponential(a)
+        calls.append((np.array(a), out))
+        return out
+
+    monkeypatch.setattr(evolution, "expm", recording)
+    return calls
+
+
+def oracle_expm_calls(monkeypatch, basis):
+    """The `expm` calls of `expm_oracle` on `stirap_fig2` at 4000 slices."""
+    from threelevel import cli
+    calls = record_expm(monkeypatch)
+    cli.run_trajectory(cli.load_config("stirap_fig2", {
+        "propagator.method": "expm_oracle", "propagator.n_slices": "4000",
+        "propagator.basis": basis}))
+    return calls
+
+
 class TestRealRepresentation:
     def test_pack_unpack_roundtrip(self):
         rng = np.random.default_rng(59)
@@ -314,6 +357,50 @@ class TestExpm:
             err = np.linalg.norm(e - ref, 1) / np.linalg.norm(ref, 1)
             assert err <= 1e-13 * max(1.0, norm)
 
+    def test_scaling_edges_in_one_stack(self):
+        """One stack that mixes every scaling count s = 0..10 with matrices
+        whose 1-norm is exactly 1, 2 and 4, where `frexp` takes one more
+        halving, and with two nonnegative matrices of equal column sums,
+        0.99 and 1.98, whose spectral radius is their 1-norm, so that the
+        Taylor remainder attains its bound there and a lower degree or one
+        halving fewer would show.  Each against scipy under the bound of
+        `test_matches_scipy`."""
+        rng = np.random.default_rng(211)
+        spread = rng.normal(size=(11, 9, 9))
+        spread *= (0.75 * 2.0 ** np.arange(11) / np.abs(spread).sum(
+            axis=-2).max(axis=-1))[:, None, None]
+        # integer entries with column sums at most 27, then the first
+        # column raised to 32: the 1-norm is 32, and dividing by it is exact
+        edges = rng.integers(-3, 4, size=(3, 9, 9)).astype(float)
+        edges[:, 0, 0] = 32.0 - np.abs(edges[:, 1:, 0]).sum(axis=-1)
+        edges *= np.array([1.0, 2.0, 4.0])[:, None, None] / 32.0
+        tight = rng.uniform(size=(2, 9, 9))
+        tight *= np.array([0.99, 1.98])[:, None, None] / tight.sum(axis=-2)[
+            :, None, :]
+        a = np.concatenate([spread, edges, tight])[rng.permutation(16)]
+        norms = np.abs(a).sum(axis=-2).max(axis=-1)
+        assert sorted(norms[np.isin(norms, [1.0, 2.0, 4.0])]) == [1.0, 2.0,
+                                                                  4.0]
+        assert set(np.frexp(norms)[1]) == set(range(11))
+        got = evolution.expm(a)
+        for m, e, norm in zip(a, got, norms):
+            ref = scipy.linalg.expm(m)
+            err = np.linalg.norm(e - ref, 1) / np.linalg.norm(ref, 1)
+            assert err <= 1e-13 * max(1.0, norm)
+
+    @pytest.mark.parametrize("basis", evolution.BASES)
+    def test_magnus_slices_match_scipy(self, monkeypatch, basis):
+        """The 4000 Magnus exponents of `stirap_fig2`, in the stacks of
+        `_ORACLE_BLOCK` that the oracle passes, each within 1e-14 of scipy
+        in 1-norm, relative."""
+        calls = oracle_expm_calls(monkeypatch, basis)
+        assert sum(len(a) for a, _ in calls) == 4000
+        for stack, got in calls:
+            for m, e in zip(stack, got):
+                ref = scipy.linalg.expm(m)
+                assert np.linalg.norm(e - ref, 1) \
+                    <= 1e-14 * np.linalg.norm(ref, 1)
+
     def test_single_matrix_and_zero(self):
         np.testing.assert_array_equal(evolution.expm(np.zeros((9, 9))),
                                       np.eye(9))
@@ -535,65 +622,78 @@ class TestStepCounts:
     @pytest.mark.parametrize("name, basis", list(COUNTS))
     def test_builtin(self, monkeypatch, name, basis):
         from threelevel import cli
-        counts, shapes = [], []
-        stepper, exponential = evolution._dop853, evolution.expm
+        counts = []
+        stepper = evolution._dop853
 
         def recording(*args):
             out = stepper(*args)
             counts.append(out[-1])
             return out
 
-        def recording_expm(a):
-            shapes.append(np.shape(a))
-            return exponential(a)
-
         monkeypatch.setattr(evolution, "_dop853", recording)
-        monkeypatch.setattr(evolution, "expm", recording_expm)
+        exponentials = record_expm(monkeypatch)
         cfg = cli.load_config(name, {"propagator.basis": basis})
         for _, point, schedule in cli._points(cfg):
-            del shapes[:]
+            del exponentials[:]
             cli.run_trajectory(point, schedule)
-            assert shapes == ([(9, 9)] if schedule.is_static else [])
+            assert [a.shape for a, _ in exponentials] == (
+                [(9, 9)] if schedule.is_static else [])
         assert counts == self.COUNTS[name, basis]
+
+    @pytest.mark.parametrize("basis", evolution.BASES)
+    def test_oracle_exponentials(self, monkeypatch, basis):
+        """`expm_oracle` exponentiates its slices in stacks of
+        `_ORACLE_BLOCK`: on `stirap_fig2` at 4000 slices, 31 calls on 128
+        matrices and one on the last 32."""
+        calls = oracle_expm_calls(monkeypatch, basis)
+        assert [a.shape for a, _ in calls] == [(128, 9, 9)] * 31 \
+            + [(32, 9, 9)]
 
 
 class TestSegments:
     """The default route integrates the propagators of `_SEGMENTS` time
     segments and chains them."""
 
-    # max |rho - rho_ref| of a one-segment 9-vector run at the default
-    # tolerances: the default route may not do worse
-    ONE_SEGMENT_ERR = {
+    # max |rho - rho_ref|: for a time-dependent schedule, the error of a
+    # one-segment 9-vector run at the default tolerances, which the
+    # segmented route may not exceed; for the static hold, whose exact
+    # step map leaves only rounding, 1e-12
+    REFERENCE_ERR = {
         ("stirap_fig2", "bare"): 3.5e-9,
         ("stirap_fig2", "adiabatic"): 2.4e-9,
         ("bstirap_fig3", "bare"): 7.6e-9,
         ("bstirap_fig3", "adiabatic"): 6.2e-9,
         ("purity_delta_fig4", "bare"): 7.5e-9,
         ("purity_delta_fig4", "adiabatic"): 7.3e-9,
-        ("hadamard_hold", "bare"): 1.1e-9,
-        ("hadamard_hold", "adiabatic"): 1.1e-9,
+        ("hadamard_hold", "bare"): 1e-12,
+        ("hadamard_hold", "adiabatic"): 1e-12,
     }
 
-    @pytest.mark.parametrize("name, basis", list(ONE_SEGMENT_ERR))
+    @pytest.mark.parametrize("name, basis", list(REFERENCE_ERR))
     def test_accuracy_against_tight_reference(self, monkeypatch, name,
                                               basis):
-        """The reference is the same tableau on one segment and the
-        9-vector, at rtol 1e-12 and atol 1e-14, on the generator kernel of
-        the same path, whether it runs `_segmented` or, for a static
-        schedule, `_static`."""
+        """A time-dependent point's reference is the same tableau on one
+        segment and the 9-vector, at rtol 1e-12 and atol 1e-14, on the
+        generator kernel of the same path.  A static point's, which that
+        tableau cannot give to 1e-12, is `TestStaticRoute`'s: scipy's
+        exponential of the complex Liouvillian at each sample time, from
+        the run's first sample (its initial state, in the dressed basis up
+        to a round trip through the frame)."""
         from threelevel import cli
         cfg = cli.load_config(name, {"propagator.basis": basis})
         points = cli._points(cfg)
-        got = [cli.run_trajectory(p, s).rho for _, p, s in points]
+        got = [cli.run_trajectory(p, s) for _, p, s in points]
 
         def reference(kernel, y0, times, *tolerances):
             return one_segment(kernel, y0, times, 1e-12, 1e-14)[0]
 
         monkeypatch.setattr(evolution, "_segmented", reference)
-        monkeypatch.setattr(evolution, "_static", reference)
-        ref = [cli.run_trajectory(p, s).rho for _, p, s in points]
-        err = max(np.max(np.abs(a - b)) for a, b in zip(got, ref))
-        assert err <= self.ONE_SEGMENT_ERR[name, basis]
+        ref = [liouvillian_states(p.configuration, p.rates, s, traj.rho[0],
+                                  traj.times, p.xi_appendix_verbatim)
+               if s.is_static else cli.run_trajectory(p, s).rho
+               for (_, p, s), traj in zip(points, got)]
+        err = max(np.max(np.abs(a.rho - b)) for a, b in zip(got, ref))
+        assert err <= self.REFERENCE_ERR[name, basis]
 
     @pytest.mark.parametrize("basis", evolution.BASES)
     def test_trace_checked_between_samples(self, monkeypatch, basis):
@@ -690,16 +790,7 @@ class TestStaticRoute:
         rho0 = random_density(np.random.default_rng(seed))
         traj = propagate(config, rates, s, self.start_state(s, rho0, basis),
                          PropagatorSettings(basis=basis), samples=51)
-        h = omega_p * (ketbra(1, 3) + ketbra(3, 1)) \
-            + omega_c * (ketbra(2, 3) + ketbra(3, 2)) + delta * ketbra(3, 3)
-        eye = np.eye(3)
-        m = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        for op in lindblad_ops(config, rates):
-            anti = op.conj().T @ op
-            m += np.kron(op, op.conj()) \
-                - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
-        ref = np.stack([scipy.linalg.expm(m * t) @ rho0.reshape(9)
-                        for t in traj.times]).reshape(-1, 3, 3)
+        ref = liouvillian_states(config, rates, s, rho0, traj.times)
         assert np.max(np.abs(traj.rho - ref)) <= 1e-12
 
     @pytest.mark.parametrize("basis", evolution.BASES)
