@@ -28,7 +28,6 @@ reported as ``[id] FAILED: <message>``.
 """
 
 import argparse
-import concurrent.futures
 import itertools
 import math
 import operator
@@ -445,6 +444,8 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str, workers: int = 1) -> list:
 
     if workers <= 1:
         return [one(item) for item in points]
+    # imported here: it pulls in logging, which a one-worker run never needs
+    import concurrent.futures
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, points))
 

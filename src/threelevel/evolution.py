@@ -15,10 +15,11 @@ multiply it by a real 9x9 generator, a weighted sum of fixed blocks: the
 bare one is D + Omega_p Bp + Omega_c Bc + Delta Bd, the dressed one
 lam2 C2 + lam3 C3 + [., F] + W^-1 D W, with W the superoperator of
 R -> U R U^T.  The dressed dissipator is a trigonometric polynomial in the
-frame angles, so it enters as a table of harmonic blocks, built once per
-propagation and weighted by products of cos/sin(2k theta) and
-cos/sin(k phi), which come from the drives as complex powers of
-exp(2i theta) and exp(i phi) (`adiabatic.phasors`).  One grid kernel,
+frame angles, invariant under (theta, phi) -> (-theta, phi + pi), so it
+enters as a table of 23 harmonic blocks, built once per propagation and
+weighted by the products of cos(2k theta) with even and of sin(2k theta)
+with odd harmonics cos/sin(k phi), which come from the drives as products
+of exp(2i theta) and exp(i phi) (`adiabatic.phasors`).  One grid kernel,
 `_generator_kernel`, maps an array of times to the stacked generators of
 either basis.
 
@@ -29,7 +30,7 @@ that the generator does not depend on the state: it cuts the horizon into
 and `_dop853`, the Dormand-Prince 8(5,3) embedded pair (DOP853, with the
 tableau in `_dop853_coefficients`) run in-house, integrates the propagator
 of every segment from the identity, all segments in lockstep.  Each pass
-makes one kernel call for the stage generators of every active segment,
+makes one kernel call for the 14 stage generators of every active segment,
 and step control holds each column of each propagator to the tolerances.
 The segment-end propagators are checked to keep the trace, then chained
 into the states at the segment starts, and each output is its segment's
@@ -69,7 +70,7 @@ _DEFAULT_REL_TOL = 1e-9
 METHODS = ("adaptive_rk", "expm_oracle")
 BASES = ("bare", "adiabatic")
 _ORACLE_BLOCK = 128   # slices per batched expm call; bounds peak memory
-_SEGMENTS = 32        # time segments `_dop853` steps in lockstep
+_SEGMENTS = 64        # time segments `_dop853` steps in lockstep
 
 
 class PropagationError(RuntimeError):
@@ -222,35 +223,50 @@ def _harmonics(x, degree):
     return out
 
 
-_POWERS = np.arange(1.0, 5.0)
-
-
 def _waves(e_2theta, e_phi):
-    """`_harmonics(2 theta, 2)` and `_harmonics(phi, 4)` from exp(2i theta)
-    and exp(i phi), by complex powers.  Both are float views of one complex
-    array (i, exp(2ik theta) for k = 1, 2, i, exp(ik phi) for k = 1..4),
-    whose imaginary unit entries supply the leading 1 of each."""
+    """The harmonic weights of the frame angles from exp(2i theta) and
+    exp(i phi), by products: (1, cos 2theta, cos 4theta),
+    (sin 2theta, sin 4theta), the even harmonics
+    (1, cos 2phi, sin 2phi, cos 4phi, sin 4phi) and the odd ones
+    (cos phi, sin phi, cos 3phi, sin 3phi).  All four are float views of one
+    complex array (1, exp(2i theta), exp(4i theta), i, exp(2i phi),
+    exp(4i phi), exp(i phi), exp(3i phi)), whose 1 and i supply the leading
+    1 of the cosines of theta and of the even harmonics of phi."""
     waves = np.empty(np.shape(e_phi) + (8,), dtype=complex)
-    waves[..., 0:4:3] = 1j
-    np.power(e_2theta[..., None], _POWERS[:2], out=waves[..., 1:3])
-    np.power(e_phi[..., None], _POWERS, out=waves[..., 4:])
+    waves[..., 0:4:3] = (1.0, 1j)
+    waves[..., 1], waves[..., 6] = e_2theta, e_phi
+    np.multiply(e_2theta, e_2theta, out=waves[..., 2])
+    np.multiply(e_phi, e_phi, out=waves[..., 4])
+    np.multiply(waves[..., 4], waves[..., 4], out=waves[..., 5])
+    np.multiply(waves[..., 4], e_phi, out=waves[..., 7])
     flat = waves.view(float)
-    return flat[..., 1:6], flat[..., 7:]
+    return flat[..., 0:6:2], flat[..., 3:6:2], flat[..., 7:12], flat[..., 12:]
 
 
 # W^-1 D W is bilinear in W and W^-1, each quadratic in the entries of
 # U = A(theta) B(phi), so it is a trigonometric polynomial of degree 4 in
 # theta and in phi.  Every jump operator is a multiple of some |i><j|, so D
-# commutes with conjugation by diag(-1, -1, 1) = A(pi) and only even
+# commutes with conjugation by any diagonal sign matrix S: W_S^-1 D W_S = D,
+# and W^-1 D W does not change when U becomes S U.  With S = A(pi) =
+# diag(-1, -1, 1), U(theta + pi, phi) = S U(theta, phi), so only even
 # harmonics of theta remain: degree 2 in 2 theta (5 functions) times degree
-# 4 in phi (9).  The 45 blocks follow from W at a tensor grid of
-# equispaced nodes, one period each, through the inverse of the grid's
-# harmonic values; W at the nodes does not depend on the rates.
+# 4 in phi (9).  With S = diag(1, -1, -1), U(-theta, phi + pi) =
+# S U(theta, phi), so W^-1 D W is also unchanged by (theta, phi) ->
+# (-theta, phi + pi), which keeps cos(2k theta) and flips sin(2k theta),
+# and keeps the even harmonics of phi and flips the odd ones.  So the
+# cosines of 2 theta pair only with even harmonics of phi (3 x 5 blocks)
+# and the sines only with odd ones (2 x 4), 23 of the 45 products.  The
+# blocks follow from W at a tensor grid of equispaced nodes, one period
+# each, through the rows of the inverse of the grid's harmonic values that
+# give those 23 products (`_waves` order); the other 22 rows give zero up to
+# rounding.  W at the nodes does not depend on the rates.
 _THETA_NODES, _PHI_NODES = np.meshgrid(np.arange(5) * (np.pi / 5),
                                        np.arange(9) * (2 * np.pi / 9),
                                        indexing="ij")
-_HARMONIC_INV = np.linalg.inv(np.kron(_harmonics(2.0 * _THETA_NODES[:, 0], 2),
-                                     _harmonics(_PHI_NODES[0], 4)))
+_HARMONIC_INV = np.linalg.inv(np.kron(
+    _harmonics(2.0 * _THETA_NODES[:, 0], 2), _harmonics(_PHI_NODES[0], 4)))[
+    [9 * i + j for i in (0, 1, 3) for j in (0, 3, 4, 7, 8)]
+    + [9 * i + j for i in (2, 4) for j in (1, 2, 5, 6)]]
 
 
 def _frame_superops(u: np.ndarray) -> np.ndarray:
@@ -266,9 +282,10 @@ _NODE_W = _frame_superops(np.stack(np.broadcast_arrays(*adiabatic.rotation(
 
 
 def _dressed_table(d9: np.ndarray) -> np.ndarray:
-    """(50, 81) blocks of the dressed generator: the five `_DRESSED` blocks,
-    then the harmonic blocks of W^-1 D W, row-major over the products of
-    `_harmonics(2 theta, 2)` and `_harmonics(phi, 4)`."""
+    """(28, 81) blocks of the dressed generator: the five `_DRESSED` blocks,
+    then the 23 harmonic blocks of W^-1 D W, row-major over the products of
+    (1, cos 2theta, cos 4theta) with the even harmonics of phi, then of
+    (sin 2theta, sin 4theta) with the odd ones, as `_waves` orders them."""
     at_nodes = _NODE_W.swapaxes(1, 2) @ (_G[:, None] * d9) @ _NODE_W
     return np.concatenate([_DRESSED, _HARMONIC_INV @ (
         at_nodes / _G[:, None]).reshape(45, 81)])
@@ -288,10 +305,11 @@ def _generator_kernel(schedule: PulseSchedule, d9: np.ndarray, basis: str):
     The bare generator is D + Omega_p Bp + Omega_c Bc + Delta Bd, with
     D + Delta Bd summed here for a constant detuning.  The dressed one
     weights `_dressed_table` by the quasienergies, the rotation rates and
-    the harmonic products of the frame angles, from `adiabatic.phasors` and
-    `_waves`.  A static schedule has one constant generator, which is built
-    here and only copied to the times; the default method reads it once,
-    at t = 0, and exponentiates it (`_static`).
+    the 23 harmonic products of the frame angles that its parity keeps,
+    from `adiabatic.phasors` and `_waves`.  A static schedule has one
+    constant generator, which is built here and only copied to the times;
+    the default method reads it once, at t = 0, and exponentiates it
+    (`_static`).
     """
     if basis == "bare":
         constant = schedule.detuning.kind == "constant"
@@ -312,13 +330,15 @@ def _generator_kernel(schedule: PulseSchedule, d9: np.ndarray, basis: str):
         def at(t, out):
             e_2theta, e_phi, theta_dot, phi_dot, lam2, lam3 = \
                 adiabatic.phasors(*schedule.rabi(t)[:6], *schedule.delta(t))
-            theta_waves, phi_waves = _waves(e_2theta, e_phi)
-            coef = np.empty(t.shape + (50,))
+            cos_theta, sin_theta, even, odd = _waves(e_2theta, e_phi)
+            coef = np.empty(t.shape + (28,))
             coef[..., 0], coef[..., 1], coef[..., 4] = lam2, lam3, phi_dot
-            np.multiply(theta_dot[..., None], phi_waves[..., 1:3],
+            np.multiply(theta_dot[..., None], odd[..., :2],
                         out=coef[..., 2:4])
-            np.multiply(theta_waves[..., :, None], phi_waves[..., None, :],
-                        out=coef[..., 5:].reshape(t.shape + (5, 9)))
+            np.multiply(cos_theta[..., :, None], even[..., None, :],
+                        out=coef[..., 5:20].reshape(t.shape + (3, 5)))
+            np.multiply(sin_theta[..., :, None], odd[..., None, :],
+                        out=coef[..., 20:].reshape(t.shape + (2, 4)))
             np.matmul(coef, table, out=out.reshape(t.shape + (81,)))
 
     if schedule.is_static:
@@ -401,11 +421,12 @@ def _assemble(rho, fr: adiabatic.AdiabaticFrame,
 def _dop853_tableau():
     """The DOP853 tableau of `_dop853_coefficients`, built once and laid
     out for `_dop853`, whose stage buffer holds y in row 0 and h times
-    stage k in row k + 1.  `nodes` are the times, in steps, of the
-    generators an attempt needs: stages 1-11, the step end, the
-    dense-output stages.  Row s of `a`, with 1 in column 0, combines buffer
-    rows 0..s into y + h sum_k A[s, k] K[k], the argument of stage s (of
-    the step end, from B, for s = 12).  The rows of `dense` are the
+    stage k in row k + 1.  `nodes` are the times, in steps, of the 14
+    generators an attempt needs: stages 1-11, the last of which, at c = 1,
+    is also the step end's (the first-same-as-last derivative), then the
+    three dense-output stages.  Row s of `a`, with 1 in column 0, combines
+    buffer rows 0..s into y + h sum_k A[s, k] K[k], the argument of stage s
+    (of the step end, from B, for s = 12).  The rows of `dense` are the
     interpolant's coefficients over the 16 scaled stages: B, e0 - B,
     2B - e0 - e12 (with y_new - y = h B.K), then D."""
     n = rk.N_STAGES
@@ -418,7 +439,7 @@ def _dop853_tableau():
     b[:n] = rk.B
     e0, e_end = np.eye(n + 4)[[0, n]]
     dense = np.vstack([b, e0 - b, 2 * b - e0 - e_end, rk.D])
-    return (np.concatenate([rk.C[1:], [1.0], rk.C_EXTRA]), a,
+    return (np.concatenate([rk.C[1:], rk.C_EXTRA]), a,
             np.stack([rk.E5, rk.E3]), dense, n, rk.ERROR_ESTIMATOR_ORDER)
 
 
@@ -448,12 +469,14 @@ def _dop853(kernel, block, edges, times, rel_tol, abs_tol):
     column it is scipy's DOP853; only the grouping of the sums differs.
 
     The segments advance in lockstep, one attempt each per pass: one
-    kernel call builds the stage generators of every active segment, which
-    are scaled by their step in place, and each stage is one `np.dot` of a
-    tableau row with the stage buffer (h K, stage-major) and one batched
-    matmul.  On a pass where some accepted step holds output times, the
-    three extra stages and the interpolant's seven rows are computed for
-    every active segment, and those outputs are evaluated at once.  A
+    kernel call builds the stage generators of every active segment, at
+    the 14 `nodes` of `_dop853_tableau` (stage 11 and the step end share
+    t + h), which are scaled by their step in place, and each stage is one
+    `np.dot` of a tableau row with the stage buffer (h K, stage-major) and
+    one batched matmul.  On a pass where some accepted step holds output
+    times, the three extra stages and the interpolant's seven rows are
+    computed for every active segment, and those outputs are evaluated at
+    once.  A
     segment leaves the pass when it reaches its end.  A step below ten
     spacings of the floating-point numbers at t raises PropagationError.
     """
@@ -520,7 +543,9 @@ def _dop853(kernel, block, edges, times, rel_tol, abs_tol):
             np.matmul(gens[:, s - 1], arg.reshape(active, dim, cols),
                       out=stages[s + 1].reshape(active, dim, cols))
         y_new = np.dot(a[n, :n + 1], stages[:n + 1])
-        np.matmul(gens[:, n - 1], y_new.reshape(active, dim, cols),
+        # the step end reuses stage 11's generator, at t + h; so from here
+        # on, stage s takes generator s - 2
+        np.matmul(gens[:, n - 2], y_new.reshape(active, dim, cols),
                   out=stages[n + 1].reshape(active, dim, cols))
 
         scale = np.maximum(np.abs(stages[0]), np.abs(y_new))
@@ -546,7 +571,7 @@ def _dop853(kernel, block, edges, times, rel_tol, abs_tol):
         if owns.any():
             for s in range(n + 1, len(a)):
                 np.dot(a[s, :s + 1], stages[:s + 1], out=arg)
-                np.matmul(gens[:, s - 1], arg.reshape(active, dim, cols),
+                np.matmul(gens[:, s - 2], arg.reshape(active, dim, cols),
                           out=stages[s + 1].reshape(active, dim, cols))
             interp = interp_buf[:len(dense) * size].reshape(len(dense),
                                                             size)

@@ -721,29 +721,38 @@ class TestMainEntry:
     def test_runs_leave_scipy_unloaded(self, tmp_path):
         """The runtime needs only numpy: in one fresh interpreter, a bare
         DOP853 run, an adiabatic-basis run and an oracle run each end with
-        no scipy module loaded."""
+        no scipy module loaded.  The import and a one-worker sweep leave
+        `concurrent.futures` unloaded too; a two-worker sweep loads it and
+        writes the same bytes as one worker."""
         cfg = tmp_path / "adiabatic.cfg"
         cfg.write_text(BUILTINS["stirap_fig2"]
                        + "propagator.basis = adiabatic\n", encoding="utf-8")
         runs = [["run", "stirap_fig2"], ["run", str(cfg)],
-                ["--method", "expm_oracle", "run", "stirap_fig2"]]
-        code = ["import sys, threelevel.cli",
-                "print('scipy' in sys.modules)"]
+                ["--method", "expm_oracle", "run", "stirap_fig2"],
+                ["--workers", "1", "sweep", "purity_delta_fig4"],
+                ["--workers", "2", "sweep", "purity_delta_fig4"]]
+        loaded = ("print('scipy' in sys.modules, "
+                  "'concurrent.futures' in sys.modules)")
+        code = ["import sys, threelevel.cli", loaded]
         for k, argv in enumerate(runs):
             out_dir = str(tmp_path / str(k))
             code += [f"assert threelevel.cli.main(['--out-dir', {out_dir!r}, "
-                     f"'--samples', '11', *{argv!r}]) == 0",
-                     "print('scipy' in sys.modules)"]
+                     f"'--samples', '11', *{argv!r}]) == 0", loaded]
         src = str(pathlib.Path(threelevel.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", "\n".join(code)],
                              env=env, capture_output=True, text=True,
                              check=True)
         flags = [line for line in out.stdout.splitlines()
-                 if line in ("True", "False")]
-        assert flags == ["False"] * 4
-        for k in range(len(runs)):
+                 if line.startswith(("True", "False"))]
+        assert flags == ["False False"] * 5 + ["False True"]
+        for k in range(3):
             assert (tmp_path / str(k) / "stirap_fig2.csv").exists()
+        tables = sorted(p.name for p in (tmp_path / "3").glob("*.csv"))
+        assert len(tables) == 3
+        for name in tables:
+            assert (tmp_path / "3" / name).read_bytes() \
+                == (tmp_path / "4" / name).read_bytes()
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("THREELEVEL_OUT_DIR", str(tmp_path))

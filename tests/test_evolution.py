@@ -609,12 +609,12 @@ class TestStepCounts:
     call, on one 9x9 matrix, and the others make none."""
 
     COUNTS = {
-        ("stirap_fig2", "bare"): [2536],
-        ("stirap_fig2", "adiabatic"): [2301],
-        ("bstirap_fig3", "bare"): [2536],
-        ("bstirap_fig3", "adiabatic"): [2301],
-        ("purity_delta_fig4", "bare"): [646, 989, 2536],
-        ("purity_delta_fig4", "adiabatic"): [562, 878, 2301],
+        ("stirap_fig2", "bare"): [2623],
+        ("stirap_fig2", "adiabatic"): [2360],
+        ("bstirap_fig3", "bare"): [2623],
+        ("bstirap_fig3", "adiabatic"): [2360],
+        ("purity_delta_fig4", "bare"): [735, 1066, 2623],
+        ("purity_delta_fig4", "adiabatic"): [638, 959, 2361],
         ("hadamard_hold", "bare"): [],
         ("hadamard_hold", "adiabatic"): [],
     }
@@ -648,6 +648,33 @@ class TestStepCounts:
         calls = oracle_expm_calls(monkeypatch, basis)
         assert [a.shape for a, _ in calls] == [(128, 9, 9)] * 31 \
             + [(32, 9, 9)]
+
+    @pytest.mark.parametrize("basis", evolution.BASES)
+    def test_fourteen_generators_per_attempt(self, monkeypatch, basis):
+        """DOP853's stage 11 and its first-same-as-last step end are both
+        at c = 1, so each pass of `_dop853` on `stirap_fig2` makes one
+        kernel call, the one that writes into the pass's buffer, for 14
+        generators per active segment and never 15: stages 1-11 and the
+        three dense-output stages."""
+        from threelevel import cli
+        assert _dop853_coefficients.C[-1] == 1.0
+        make = evolution._generator_kernel
+        spans = []
+
+        def recording(schedule, d9, basis):
+            kernel = make(schedule, d9, basis)
+
+            def at(t, out=None):
+                if out is not None:
+                    spans.append(np.shape(t))
+                return kernel(t, out)
+            return at
+
+        monkeypatch.setattr(evolution, "_generator_kernel", recording)
+        cli.run_trajectory(cli.load_config("stirap_fig2",
+                                           {"propagator.basis": basis}))
+        assert spans[0] == (evolution._SEGMENTS, 14)
+        assert all(len(s) == 2 and s[1] == 14 and s[0] >= 1 for s in spans)
 
 
 class TestSegments:
@@ -850,9 +877,27 @@ class TestStaticRoute:
 rate_or_off = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
 
 
+def parity_products(theta_waves, phi_waves):
+    """The 23 harmonic products of the dressed table, from
+    `_harmonics(2 theta, 2)` and `_harmonics(phi, 4)` over any leading
+    axes: (1, cos 2theta, cos 4theta) times the even harmonics
+    (1, cos 2phi, sin 2phi, cos 4phi, sin 4phi), then
+    (sin 2theta, sin 4theta) times the odd ones
+    (cos phi, sin phi, cos 3phi, sin 3phi), row-major."""
+    even = np.einsum("...i,...j->...ij", theta_waves[..., [0, 1, 3]],
+                     phi_waves[..., [0, 3, 4, 7, 8]])
+    odd = np.einsum("...i,...j->...ij", theta_waves[..., [2, 4]],
+                    phi_waves[..., [1, 2, 5, 6]])
+    return np.concatenate([even.reshape(even.shape[:-2] + (15,)),
+                           odd.reshape(odd.shape[:-2] + (8,))], axis=-1)
+
+
 class TestHarmonicBlocks:
-    """The harmonic blocks of the dressed table reproduce the frame
-    dissipator W^-1 D W = G^-1 W^T (G D) W at angles between the nodes."""
+    """The 23 harmonic blocks of the dressed table reproduce the frame
+    dissipator W^-1 D W = G^-1 W^T (G D) W at angles between the nodes.
+    The table holds only the products that are invariant under
+    (theta, phi) -> (-theta, phi + pi), so this also checks that W^-1 D W
+    has that parity."""
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
@@ -869,10 +914,11 @@ class TestHarmonicBlocks:
         config, verbatim = scheme
         d9 = evolution.dissipator_superop(
             lindblad_ops(config, RateSet(*rates), verbatim))
-        harmonic = evolution._dressed_table(d9)[5:]
-        weights = np.outer(evolution._harmonics(2.0 * theta, 2),
-                           evolution._harmonics(phi, 4)).ravel()
-        got = (weights @ harmonic).reshape(9, 9)
+        table = evolution._dressed_table(d9)
+        assert table.shape == (28, 81)
+        weights = parity_products(evolution._harmonics(2.0 * theta, 2),
+                                  evolution._harmonics(phi, 4))
+        got = (weights @ table[5:]).reshape(9, 9)
         u = np.array(rotation(theta, phi)).reshape(3, 3)
         w = real_superop(lambda rho: u @ rho @ u.T)
         g = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
@@ -1024,7 +1070,7 @@ class TestTrajectoryInvariants:
 
 class TestHarmonicWeights:
     """The dressed kernel's harmonic weights, built from the drives by
-    square roots and complex powers, against `_harmonics` of the angles of
+    square roots and complex products, against `_harmonics` of the angles of
     `adiabatic.angles` (atan2).  Zero drives engage the Rabi floor and keep
     atan2(0, 0) = 0; |Delta| / Omega reaches 1e6 with either sign."""
 
@@ -1041,11 +1087,13 @@ class TestHarmonicWeights:
         delta = np.full(3, sign * ratio * float(sample.omega[0]))
         drives = (*sample[:6], delta, np.zeros(3))
         theta, phi = adiabatic.angles(*drives)[:2]
-        theta_waves, phi_waves = evolution._waves(
+        cos_theta, sin_theta, even, odd = evolution._waves(
             *adiabatic.phasors(*drives)[:2])
-        got = theta_waves[:, :, None] * phi_waves[:, None, :]
-        ref = np.einsum("ni,nj->nij", evolution._harmonics(2.0 * theta, 2),
-                        evolution._harmonics(phi, 4))
+        got = np.concatenate([
+            (cos_theta[:, :, None] * even[:, None, :]).reshape(3, 15),
+            (sin_theta[:, :, None] * odd[:, None, :]).reshape(3, 8)], axis=1)
+        ref = parity_products(evolution._harmonics(2.0 * theta, 2),
+                              evolution._harmonics(phi, 4))
         assert np.max(np.abs(got - ref)) <= 1e-13
 
 
