@@ -21,7 +21,7 @@ weighted by the products of cos(2k theta) with even and of sin(2k theta)
 with odd harmonics cos/sin(k phi), which come from the drives as products
 of exp(2i theta) and exp(i phi) (`adiabatic.phasors`).  One grid kernel,
 `_generator_kernel`, maps an array of times to the stacked generators of
-either basis.
+either basis, by one formula per basis on every schedule.
 
 One public `propagate` builds the kernel of the basis its settings name
 and runs one of two integrators on it.  The default, `_segmented`, uses
@@ -32,10 +32,10 @@ tableau in `_dop853_coefficients`) run in-house, integrates the propagator
 of every segment from the identity, all segments in lockstep.  Each pass
 makes one kernel call for the 14 stage generators of every active segment,
 and step control holds each column of each propagator to the tolerances.
-The segment-end propagators are checked to keep the trace, then chained
-into the states at the segment starts, and each output is its segment's
-interpolated propagator applied to the state at the segment's start.  The
-other integrator is `_magnus4`, the matrix-exponential oracle, which takes
+`_chain` checks the segment-end propagators against the trace and chains
+them into the segment starts, and each output is its segment's
+interpolated propagator applied to its start state.  The other integrator
+is `_magnus4`, the matrix-exponential oracle, which takes
 fourth-order Magnus steps (two Gauss nodes per slice) exponentiated by
 `expm` in stacks of `_ORACLE_BLOCK` slices: seven batched matrix products
 per stack evaluate the Taylor polynomial (Paterson-Stockmeyer), and one
@@ -44,9 +44,10 @@ more.  So each integrator runs in either basis, and the two bases and
 the two integrators are independent cross-checks of one another.  A static
 schedule (constant drives and detuning) has one constant generator G, and
 the default method then needs no integrator: `_static` takes the exact
-step map exp(G dt) of one sample interval, by one `expm` call, and
-applies it once per sample, so rel_tol and abs_tol do not apply to it.
-The oracle keeps its Magnus slices on static schedules too.
+step map exp(G dt) of one sample interval, by one kernel and one `expm`
+call, and `_chain` checks it and applies it once per sample, so rel_tol
+and abs_tol do not apply to it.  The oracle keeps its Magnus slices, and
+its own loop, on static schedules too.
 """
 
 import functools
@@ -302,28 +303,22 @@ def _generator_kernel(schedule: PulseSchedule, d9: np.ndarray, basis: str):
     dressed (`"adiabatic"`) master equation with bare-basis dissipator
     superoperator `d9`.
 
-    The bare generator is D + Omega_p Bp + Omega_c Bc + Delta Bd, with
-    D + Delta Bd summed here for a constant detuning.  The dressed one
-    weights `_dressed_table` by the quasienergies, the rotation rates and
-    the 23 harmonic products of the frame angles that its parity keeps,
-    from `adiabatic.phasors` and `_waves`.  A static schedule has one
-    constant generator, which is built here and only copied to the times;
-    the default method reads it once, at t = 0, and exponentiates it
-    (`_static`).
+    The bare generator is D + Omega_p Bp + Omega_c Bc + Delta Bd, on any
+    schedule.  The dressed one weights `_dressed_table` by the
+    quasienergies, the rotation rates and the 23 harmonic products of the
+    frame angles that its parity keeps, from `adiabatic.phasors` and
+    `_waves`.  A static schedule gets no formula of its own: the default
+    method reads its kernel once (`_static`), and the oracle at its Gauss
+    nodes, as on any schedule.
     """
     if basis == "bare":
-        constant = schedule.detuning.kind == "constant"
-        base = d9 + schedule.detuning.delta0 * _BD if constant else d9
-        drives = _DRIVES[:2] if constant else _DRIVES
-
         def at(t, out):
-            coef = np.empty(t.shape + (len(drives),))
+            coef = np.empty(t.shape + (3,))
             coef[..., 0] = schedule.pump.value(t)
             coef[..., 1] = schedule.stokes.value(t)
-            if not constant:
-                coef[..., 2] = schedule.delta(t)[0]
-            np.matmul(coef, drives, out=out.reshape(t.shape + (81,)))
-            out += base
+            coef[..., 2] = schedule.delta(t)[0]
+            np.matmul(coef, _DRIVES, out=out.reshape(t.shape + (81,)))
+            out += d9
     else:
         table = _dressed_table(d9)
 
@@ -340,13 +335,6 @@ def _generator_kernel(schedule: PulseSchedule, d9: np.ndarray, basis: str):
             np.multiply(sin_theta[..., :, None], odd[..., None, :],
                         out=coef[..., 20:].reshape(t.shape + (2, 4)))
             np.matmul(coef, table, out=out.reshape(t.shape + (81,)))
-
-    if schedule.is_static:
-        fixed = np.empty((9, 9))
-        at(np.zeros(()), fixed)
-
-        def at(t, out):
-            out[...] = fixed
 
     def kernel(t, out=None):
         t = np.asarray(t, dtype=float)
@@ -392,7 +380,12 @@ def _invariant_margins(settings: PropagatorSettings, static: bool) -> tuple:
 def _assemble(rho, fr: adiabatic.AdiabaticFrame,
               margins: tuple) -> Trajectory:
     """Build a Trajectory from bare-basis samples at the frame's times,
-    checking invariants; `margins` are `_invariant_margins`."""
+    checking invariants; `margins` are `_invariant_margins`.  A sample
+    with a non-finite entry raises PropagationError naming its time."""
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    if not finite.all():
+        raise PropagationError(
+            f"non-finite state at t={fr.t[np.argmin(finite)]:.6g}")
     traces = np.einsum("nii->n", rho).real
     trace_err = float(np.max(np.abs(traces - 1.0)))
     herm_err = float(np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))))
@@ -606,6 +599,25 @@ def _dop853(kernel, block, edges, times, rel_tol, abs_tol):
             ends.reshape(block.shape), steps)
 
 
+def _chain(maps, edges, y0):
+    """States at the ascending `edges`, y_{k+1} = maps[k] y_k from y0, after
+    checking that each interval map keeps the trace, tau Phi_k = tau with
+    tau = pack(I), to 10 x TRACE_TOL; else PropagationError names the worst
+    interval, and a non-finite map fails too.  Every map of the default
+    method passes here, so the trace holds between samples too."""
+    drift = np.abs(_TRACE @ maps - _TRACE).max(axis=-1)
+    if not drift.max() <= 10 * TRACE_TOL:
+        k = int(np.argmax(drift))          # a nan drift counts as the largest
+        raise PropagationError(
+            f"trace drifted by {drift[k]:.3e} over [{edges[k]:.6g}, "
+            f"{edges[k + 1]:.6g}]")
+    ys = np.empty((len(edges), y0.size))
+    ys[0] = y0
+    for phi, y, y_next in zip(maps, ys, ys[1:]):
+        np.matmul(phi, y, out=y_next)
+    return ys
+
+
 def _segmented(kernel, y0, times, rel_tol, abs_tol):
     """States at the ascending `times`, from y0 at times[0], of
     dy/dt = kernel(t) y, from the propagators of `_SEGMENTS` equal time
@@ -613,50 +625,29 @@ def _segmented(kernel, y0, times, rel_tol, abs_tol):
 
     The generator does not depend on the state, so `_dop853` integrates
     each segment's propagator, Y' = kernel(t) Y with Y = I at the segment's
-    start, for all segments at once.  Each segment-end propagator must keep
-    the trace, tau Phi_k = tau with tau = pack(I), to 10 x TRACE_TOL, or
-    PropagationError is raised; this holds between samples too.  The
-    segment starts then follow in order, y_{k+1} = Phi_k y_k, and each
-    output is Phi(t) y_k on its segment.
+    start, for all segments at once.  `_chain` checks the segment-end
+    propagators Phi_k and chains them into the segment starts,
+    y_{k+1} = Phi_k y_k, and each output is Phi(t) y_k on its segment.
     """
     edges = np.linspace(times[0], times[-1], _SEGMENTS + 1)
     eye = np.broadcast_to(np.eye(y0.size), (_SEGMENTS, y0.size, y0.size))
     phis, ends, _ = _dop853(kernel, eye, edges, times, rel_tol, abs_tol)
-    drift = np.abs(_TRACE @ ends - _TRACE).max(axis=-1)
-    if drift.max() > 10 * TRACE_TOL:
-        k = int(np.argmax(drift))
-        raise PropagationError(
-            f"trace drifted by {drift[k]:.3e} over [{edges[k]:.6g}, "
-            f"{edges[k + 1]:.6g}]")
-    starts = np.empty((_SEGMENTS, y0.size))
-    starts[0] = y0
-    for k in range(_SEGMENTS - 1):
-        starts[k + 1] = ends[k] @ starts[k]
+    starts = _chain(ends, edges, y0)
     owner = np.searchsorted(edges[1:-1], times, side="right")
     return np.matmul(phis, starts[owner, :, None])[..., 0]
 
 
 def _static(kernel, y0, times):
     """States at the uniform `times`, from y0 at times[0], of dy/dt = G y
-    for the constant generator G = kernel(times[0]): y_k = P y_{k-1}, with
-    the step map P = exp(G dt) of one sample interval computed once by
-    `expm` (scaling and squaring; Moler & Van Loan, SIAM Rev. 45, 3
-    (2003)).  This is exact up to rounding, so no tolerance applies.  P must
-    keep the trace, tau P = tau with tau = pack(I), to 10 x TRACE_TOL, or
-    PropagationError is raised, as for `_segmented`'s segment ends.
+    for the constant generator G = kernel(times[0]): the step map
+    P = exp(G dt) of one sample interval, computed once by `expm` (scaling
+    and squaring; Moler & Van Loan, SIAM Rev. 45, 3 (2003)), is every
+    interval's map in `_chain`, which checks it against the trace.  This is
+    exact up to rounding, so no tolerance applies.
     """
-    dt = times[1] - times[0]
-    step = expm(kernel(times[0]) * dt)
-    drift = np.abs(_TRACE @ step - _TRACE).max()
-    if drift > 10 * TRACE_TOL:
-        raise PropagationError(
-            f"trace drifted by {drift:.3e} over one sample interval of "
-            f"{dt:.6g}")
-    out = np.empty((times.size, y0.size))
-    out[0] = y0
-    for k in range(1, times.size):
-        np.matmul(step, out[k - 1], out=out[k])
-    return out
+    step = expm(kernel(times[0]) * (times[1] - times[0]))
+    return _chain(np.broadcast_to(step, (times.size - 1,) + step.shape),
+                  times, y0)
 
 
 # Row j holds the coefficients 1/(4j + i)!, i = 0..3, of
@@ -754,10 +745,10 @@ def propagate(config: Configuration, rates: RateSet, schedule: PulseSchedule,
     `settings.method` picks the integrator: for "adaptive_rk", `_segmented`
     at `samples` uniform times, held to `rel_tol` and `abs_tol`, or, when
     `schedule.is_static`, `_static`, the exact step map of one sample
-    interval, to which the tolerances do not apply; for "expm_oracle",
-    `_magnus4` on `settings.n_slices` slices, static or not.  Either way the
-    Trajectory carries the bare and the dressed density matrices and the
-    frame diagnostics.
+    interval, to which the tolerances do not apply, both through `_chain`;
+    for "expm_oracle", `_magnus4` on `settings.n_slices` slices, static or
+    not.  Either way the Trajectory carries the bare and the dressed
+    density matrices and the frame diagnostics.
     """
     settings = settings or PropagatorSettings()
     settings.check_samples(samples)

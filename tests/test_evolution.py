@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from threelevel import _dop853_coefficients, adiabatic
 from threelevel.adiabatic import frame, rotation
 from threelevel.dissipation import (Configuration, RateSet, derived_rates,
-                                    ketbra, lindblad_ops)
+                                    dissipator, ketbra, lindblad_ops)
 from threelevel import evolution
 from threelevel.evolution import (PropagationError, PropagatorSettings,
                                   Trajectory, closed_system_solution, pack,
@@ -455,6 +455,64 @@ def _complex_static_rhs(schedule, d9, dissipative, r):
     return pack(out)
 
 
+def _complex_bare_rhs(schedule, ops, t, r):
+    """The bare right-hand side evaluated on complex 3x3 matrices,
+    -i[H, rho] + D(rho), with H = Omega_p (|1><3| + |3><1|)
+    + Omega_c (|2><3| + |3><2|) + Delta |3><3| from the schedule at t."""
+    h = float(schedule.pump.value(t)) * (ketbra(1, 3) + ketbra(3, 1)) \
+        + float(schedule.stokes.value(t)) * (ketbra(2, 3) + ketbra(3, 2)) \
+        + float(schedule.delta(t)[0]) * ketbra(3, 3)
+    rho = unpack(r)
+    return pack(-1j * (h @ rho - rho @ h) + dissipator(ops, rho))
+
+
+class TestBareGenerator:
+    """The bare grid kernel, D + Omega_p Bp + Omega_c Bc + Delta Bd on every
+    schedule, against the complex 3x3 formula, on an array of random times,
+    at a 0-d time and written into a given buffer."""
+
+    RATES = RateSet(gamma1=0.5, gamma2=0.3, gamma1_deph=0.05,
+                    gamma2_deph=0.1, gamma3_deph=0.2)
+    SCHEDULES = {
+        "constant": make_stirap_schedule(100.0, DetuningSchedule(
+            delta0=1000.0), 1.0, "intuitive"),
+        "shaped": make_stirap_schedule(100.0, DetuningSchedule(
+            kind="shaped", delta0=7.0, gamma1=0.5), 1.0, "counterintuitive"),
+        "static": static_schedule(80.0, 50.0, -600.0),
+    }
+
+    @pytest.mark.parametrize("config", list(Configuration))
+    @pytest.mark.parametrize("detuning", list(SCHEDULES))
+    def test_matches_complex_formula(self, config, detuning):
+        rng = np.random.default_rng(109)
+        s = self.SCHEDULES[detuning]
+        ops = lindblad_ops(config, self.RATES)
+        kernel = evolution._generator_kernel(
+            s, evolution.dissipator_superop(ops), "bare")
+
+        def check(t, gen):
+            r = rng.normal(size=9)
+            TestDressedGenerator.assert_close(
+                gen @ r, _complex_bare_rhs(s, ops, t, r))
+
+        times = rng.uniform(0.0, 1.0, size=20)
+        gens = kernel(times)
+        assert gens.shape == (20, 9, 9)
+        for t, gen in zip(times, gens):
+            check(t, gen)
+
+        t = np.float64(rng.uniform())
+        gen = kernel(t)
+        assert gen.shape == (9, 9)
+        check(t, gen)
+
+        grid = rng.uniform(0.0, 1.0, size=(4, 5))
+        buffer = np.full((4, 5, 9, 9), np.nan)
+        assert kernel(grid, out=buffer) is buffer
+        for t, gen in zip(grid.ravel(), buffer.reshape(20, 9, 9)):
+            check(t, gen)
+
+
 class TestDressedGenerator:
     """The dressed grid kernel, called on an array of random times, against
     the complex 3x3 formula at each of them."""
@@ -784,7 +842,79 @@ class TestSegments:
         assert max(np.max(np.abs(e - ends[0])) for e in ends) <= 1e-13
 
 
-drive_or_off = st.one_of(st.just(0.0), st.floats(1.0, 150.0))
+class TestChain:
+    """`_chain`, which every map of the default method passes through:
+    each interval map is checked against the trace row, then the maps are
+    chained."""
+
+    EDGES = np.linspace(0.0, 1.0, 6)
+
+    @staticmethod
+    def identities():
+        return np.broadcast_to(np.eye(9), (5, 9, 9)).copy()
+
+    def test_chains_the_maps(self):
+        rng = np.random.default_rng(113)
+        maps = self.identities()
+        # rows 0-2 stay those of I, so each map keeps the trace
+        maps[:, 3:] = rng.normal(size=(5, 6, 9))
+        y0 = rng.normal(size=9)
+        want = [y0]
+        for phi in maps:
+            want.append(phi @ want[-1])
+        np.testing.assert_array_equal(evolution._chain(maps, self.EDGES, y0),
+                                      want)
+
+    def test_names_the_leaking_interval(self):
+        maps = self.identities()
+        maps[1, 0, 0] += 5e-8                 # within 10 x TRACE_TOL
+        maps[2, 0, 0] += 1e-6
+        with pytest.raises(PropagationError, match=r"trace drifted by "
+                           r"1\.000e-06 over \[0\.4, 0\.6\]$"):
+            evolution._chain(maps, self.EDGES, pack(SIG11))
+
+    def test_nan_map_fails(self):
+        """A nan drift is not below any bound."""
+        maps = self.identities()
+        maps[3, 4, 0] = math.nan
+        with pytest.raises(PropagationError,
+                           match=r"trace drifted by nan over \[0\.6, 0\.8\]$"):
+            evolution._chain(maps, self.EDGES, pack(SIG11))
+
+
+class TestNonFinite:
+    """Drives or detunings so large that the propagation overflows raise
+    PropagationError, not numpy's LinAlgError from `eigvalsh`."""
+
+    @pytest.mark.parametrize("basis", evolution.BASES)
+    @pytest.mark.parametrize("key, value", [("pulses.peak_omega", "1e150"),
+                                            ("detuning.delta0", "1e305")])
+    def test_static_step_map(self, basis, key, value):
+        """The default method's non-finite exp(G dt) fails `_chain`'s trace
+        check on the first sample interval."""
+        from threelevel import cli
+        cfg = cli.load_config("hadamard_hold", {
+            key: value, "output.samples": "5", "propagator.basis": basis})
+        with np.errstate(all="ignore"), pytest.raises(
+                PropagationError,
+                match=r"trace drifted by nan over \[0, 0\.25\]$"):
+            cli.run_trajectory(cfg)
+
+    @pytest.mark.parametrize("basis", evolution.BASES)
+    def test_oracle_sample(self, basis):
+        """The oracle has no trace check between samples; `_assemble`
+        names the first non-finite sample."""
+        from threelevel import cli
+        cfg = cli.load_config("stirap_fig2", {
+            "pulses.peak_omega": "1e150", "output.samples": "2",
+            "propagator.method": "expm_oracle", "propagator.n_slices": "1",
+            "propagator.basis": basis})
+        with np.errstate(all="ignore"), pytest.raises(
+                PropagationError, match=r"non-finite state at t=1$"):
+            cli.run_trajectory(cfg)
+
+
+drive_or_off =st.one_of(st.just(0.0), st.floats(1.0, 150.0))
 
 
 class TestStaticRoute:
@@ -846,7 +976,7 @@ class TestStaticRoute:
         monkeypatch.setattr(evolution, "_generator_kernel", leaky)
         s = static_schedule(100.0, 100.0, 1000.0)
         with pytest.raises(PropagationError,
-                           match="trace drifted by .* sample interval"):
+                           match=r"trace drifted by .* over \[0, 1\]"):
             propagate(Configuration.LAMBDA, self.RATES, s,
                       self.start_state(s, SIG11, basis),
                       PropagatorSettings(basis=basis), samples=2)
@@ -1132,5 +1262,42 @@ class TestRandomConfigurations:
             assert traj.min_eigenvalue >= -10 * evolution.POSITIVITY_TOL
             assert traj.purity.max() <= 1.0 + 10 * evolution.PURITY_TOL
             assert traj.purity.min() >= 1.0 / 3.0 - 10 * evolution.PURITY_TOL
+        bare, dressed = runs
+        assert np.max(np.abs(bare.rho - dressed.rho)) < 1e-6
+
+
+class TestRandomConfigurationsDefaultRoute:
+    """`TestRandomConfigurations`' random schemes, orderings (static ones
+    through `_static`), rates, peak couplings, detunings and bare initial
+    states, run by the default method in both bases.  The invariants hold
+    at the margins `_assemble` applies, and the two bases agree to 1e-6, the
+    bound the oracle meets on the same cases."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(list(Configuration)),
+           st.sampled_from(["counterintuitive", "intuitive", "static"]),
+           st.tuples(*[rate_per_T] * 5), st.floats(50.0, 150.0),
+           st.floats(100.0, 1000.0), st.integers(0, 2))
+    def test_invariants_and_basis_agreement(self, config, ordering, rates,
+                                            peak, delta, level):
+        rates = RateSet(*rates)
+        s = make_stirap_schedule(peak, DetuningSchedule(delta0=delta), 1.0,
+                                 ordering)
+        rho0 = np.zeros((3, 3), dtype=complex)
+        rho0[level, level] = 1.0
+        u0 = frame(s, 0.0).U
+        runs = [propagate(config, rates, s, r0,
+                          PropagatorSettings(basis=basis), samples=51)
+                for basis, r0 in (("bare", rho0),
+                                  ("adiabatic", u0.conj().T @ rho0 @ u0))]
+        positivity, purity = evolution._invariant_margins(
+            PropagatorSettings(), s.is_static)
+        for traj in runs:
+            assert traj.trace_err_max <= 10 * evolution.TRACE_TOL
+            assert traj.hermiticity_err_max <= 10 * evolution.HERMITICITY_TOL
+            assert traj.min_eigenvalue >= -positivity
+            assert traj.purity.max() <= 1.0 + purity
+            assert traj.purity.min() >= 1.0 / 3.0 - purity
         bare, dressed = runs
         assert np.max(np.abs(bare.rho - dressed.rho)) < 1e-6
