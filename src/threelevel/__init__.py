@@ -2,8 +2,8 @@
 
 from .adiabatic import AdiabaticFrame, angles, frame, rotation
 from .analysis import (QuadratureEstimate, StabilityReport,
-                       compare_analytic_numeric, hadamard_fidelity,
-                       quadrature_solution, stability_report)
+                       compare_analytic_numeric, quadrature_solution,
+                       stability_report)
 from .dissipation import (Configuration, DerivedRates, RateSet,
                           derived_rates, dissipator, ketbra, lindblad_ops)
 from .evolution import (PropagationError, PropagatorSettings, Trajectory,

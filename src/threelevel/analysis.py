@@ -6,8 +6,7 @@ integrals), the stability metrics
 
     gamma_c T << 1,   T sqrt(Delta^2 + 4 Omega^2) >> 1,   Omega^2 T / Delta >> 1,
 
-with the extra bright-state condition Gamma1 << Delta, and the Hadamard-type
-hold scenario at theta = pi/4.
+with the extra bright-state condition Gamma1 << Delta.
 """
 
 import math
@@ -23,9 +22,6 @@ from .pulses import PulseSchedule
 # Order-of-magnitude reading of the stability inequalities.
 MUCH_LESS = 0.1
 MUCH_GREATER = 10.0
-
-# Fidelity below which a Hadamard-type hold counts as lost.
-HADAMARD_THRESHOLD = 0.99
 
 # Required sampling of the fastest oscillation (lam3 - lam2) in the
 # quadrature integrals: at least this many grid points per period.
@@ -214,26 +210,3 @@ def stability_report(config, rates,
                            gamma1_over_delta=g1_over_delta,
                            omega_peak=omega_peak, delta_at_peak=delta_peak,
                            verdicts=verdicts)
-
-
-def hadamard_fidelity(traj: Trajectory, target: str = "lambda1"):
-    """Fidelity of rho(t) against (|1> -/+ |2>)/sqrt(2) for a theta = pi/4
-    hold.  Returns (fidelity series, first time the series crosses
-    HADAMARD_THRESHOLD downward, or None)."""
-    if target not in ("lambda1", "lambda2"):
-        raise ValueError("target must be 'lambda1' or 'lambda2'")
-    if np.max(np.abs(traj.frame.theta - math.pi / 4.0)) > 1e-8:
-        raise ValueError("hadamard_fidelity requires a static theta = pi/4 "
-                         "schedule (equal drives)")
-    sign = -1.0 if target == "lambda1" else 1.0
-    psi = np.array([1.0, sign, 0.0]) / math.sqrt(2.0)
-    fid = np.einsum("i,nij,j->n", psi.conj(), traj.rho, psi).real
-    below = np.nonzero(fid < HADAMARD_THRESHOLD)[0]
-    if below.size == 0 or below[0] == 0:
-        t_cross = None
-    else:
-        k = below[0]
-        f0, f1 = fid[k - 1], fid[k]
-        t0, t1 = traj.times[k - 1], traj.times[k]
-        t_cross = float(t0 + (HADAMARD_THRESHOLD - f0) / (f1 - f0) * (t1 - t0))
-    return fid, t_cross

@@ -430,13 +430,17 @@ def _points(cfg: ScenarioConfig) -> list:
 def run_sweep(cfg: ScenarioConfig, out_dir: str, workers: int = 1) -> list:
     """Run every point of the config (one, without sweep axes); records are
     ordered by grid index, and a point that fails numerically, or whose
-    table cannot be written, is recorded without aborting the others."""
+    table cannot be written, is recorded without aborting the others.
+    numpy's overflow and invalid-value warnings are kept off stderr; a
+    non-finite state fails the invariant checks, and the point's record
+    says why."""
     points = _points(cfg)
 
     def one(item):
         scenario_id, point, schedule = item
         try:
-            return run_scenario(point, out_dir, scenario_id, schedule)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return run_scenario(point, out_dir, scenario_id, schedule)
         except (PropagationError, ValueError, OverflowError, OSError) as exc:
             return RunRecord(scenario_id=scenario_id,
                              params=_flat_params(point), table_path="",

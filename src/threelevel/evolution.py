@@ -21,7 +21,9 @@ weighted by the products of cos(2k theta) with even and of sin(2k theta)
 with odd harmonics cos/sin(k phi), which come from the drives as products
 of exp(2i theta) and exp(i phi) (`adiabatic.phasors`).  One grid kernel,
 `_generator_kernel`, maps an array of times to the stacked generators of
-either basis, by one formula per basis on every schedule.
+either basis, on every schedule, by one formula: a row of weights times
+the basis's block table, whose bare rows are [D; Bp; Bc; Bd] with weights
+(1, Omega_p, Omega_c, Delta).
 
 One public `propagate` builds the kernel of the basis its settings name
 and runs one of two integrators on it.  The default, `_segmented`, uses
@@ -45,9 +47,9 @@ the two integrators are independent cross-checks of one another.  A static
 schedule (constant drives and detuning) has one constant generator G, and
 the default method then needs no integrator: `_static` takes the exact
 step map exp(G dt) of one sample interval, by one kernel and one `expm`
-call, and `_chain` checks it and applies it once per sample, so rel_tol
-and abs_tol do not apply to it.  The oracle keeps its Magnus slices, and
-its own loop, on static schedules too.
+call, and `_chain` checks it once and applies it once per sample, so
+rel_tol and abs_tol do not apply to it.  The oracle keeps its Magnus
+slices, and its own loop, on static schedules too.
 """
 
 import functools
@@ -141,9 +143,10 @@ class Trajectory:
         """(n, 3) diagonal of `R`."""
         return np.stack([self.R[:, k, k].real for k in range(3)], axis=-1)
 
-    @property
+    @functools.cached_property
     def purity(self) -> np.ndarray:
-        """(n,) Tr(rho^2): 1 for a pure state, 1/3 for the mixed one."""
+        """(n,) Tr(rho^2): 1 for a pure state, 1/3 for the mixed one,
+        evaluated once."""
         return np.einsum("nij,nji->n", self.rho, self.rho).real
 
 
@@ -303,44 +306,46 @@ def _generator_kernel(schedule: PulseSchedule, d9: np.ndarray, basis: str):
     dressed (`"adiabatic"`) master equation with bare-basis dissipator
     superoperator `d9`.
 
-    The bare generator is D + Omega_p Bp + Omega_c Bc + Delta Bd, on any
-    schedule.  The dressed one weights `_dressed_table` by the
-    quasienergies, the rotation rates and the 23 harmonic products of the
-    frame angles that its parity keeps, from `adiabatic.phasors` and
-    `_waves`.  A static schedule gets no formula of its own: the default
-    method reads its kernel once (`_static`), and the oracle at its Gauss
-    nodes, as on any schedule.
+    In both bases the generator is a weight row times a table of fixed
+    blocks, built here once per propagation: one matmul per call.  The bare
+    table is [D; Bp; Bc; Bd], weighted by (1, Omega_p, Omega_c, Delta), on
+    any schedule; each of the 81 entries is nonzero in at most one of the
+    four blocks, so the sum is exact.  The dressed table is
+    `_dressed_table`, weighted by the quasienergies, the rotation rates and
+    the 23 harmonic products of the frame angles that its parity keeps,
+    from `adiabatic.phasors` and `_waves`.  A static schedule gets no
+    formula of its own: the default method reads its kernel once
+    (`_static`), and the oracle at its Gauss nodes, as on any schedule.
     """
     if basis == "bare":
-        def at(t, out):
-            coef = np.empty(t.shape + (3,))
-            coef[..., 0] = schedule.pump.value(t)
-            coef[..., 1] = schedule.stokes.value(t)
-            coef[..., 2] = schedule.delta(t)[0]
-            np.matmul(coef, _DRIVES, out=out.reshape(t.shape + (81,)))
-            out += d9
+        table = np.concatenate([d9.reshape(1, 81), _DRIVES])
+
+        def weigh(t, w):
+            w[..., 0] = 1.0
+            w[..., 1] = schedule.pump.value(t)
+            w[..., 2] = schedule.stokes.value(t)
+            w[..., 3] = schedule.delta(t)[0]
     else:
         table = _dressed_table(d9)
 
-        def at(t, out):
+        def weigh(t, w):
             e_2theta, e_phi, theta_dot, phi_dot, lam2, lam3 = \
                 adiabatic.phasors(*schedule.rabi(t)[:6], *schedule.delta(t))
             cos_theta, sin_theta, even, odd = _waves(e_2theta, e_phi)
-            coef = np.empty(t.shape + (28,))
-            coef[..., 0], coef[..., 1], coef[..., 4] = lam2, lam3, phi_dot
-            np.multiply(theta_dot[..., None], odd[..., :2],
-                        out=coef[..., 2:4])
+            w[..., 0], w[..., 1], w[..., 4] = lam2, lam3, phi_dot
+            np.multiply(theta_dot[..., None], odd[..., :2], out=w[..., 2:4])
             np.multiply(cos_theta[..., :, None], even[..., None, :],
-                        out=coef[..., 5:20].reshape(t.shape + (3, 5)))
+                        out=w[..., 5:20].reshape(t.shape + (3, 5)))
             np.multiply(sin_theta[..., :, None], odd[..., None, :],
-                        out=coef[..., 20:].reshape(t.shape + (2, 4)))
-            np.matmul(coef, table, out=out.reshape(t.shape + (81,)))
+                        out=w[..., 20:].reshape(t.shape + (2, 4)))
 
     def kernel(t, out=None):
         t = np.asarray(t, dtype=float)
         if out is None:
             out = np.empty(t.shape + (9, 9))
-        at(t, out)
+        weights = np.empty(t.shape + (len(table),))
+        weigh(t, weights)
+        np.matmul(weights, table, out=out.reshape(t.shape + (81,)))
         return out
     return kernel
 
@@ -603,8 +608,11 @@ def _chain(maps, edges, y0):
     """States at the ascending `edges`, y_{k+1} = maps[k] y_k from y0, after
     checking that each interval map keeps the trace, tau Phi_k = tau with
     tau = pack(I), to 10 x TRACE_TOL; else PropagationError names the worst
-    interval, and a non-finite map fails too.  Every map of the default
-    method passes here, so the trace holds between samples too."""
+    interval, and a non-finite map fails too.  `maps` holds one map per
+    interval, or one map, shape (1, 9, 9), that every interval shares; each
+    distinct map is checked once, and a leaking shared map is named as the
+    first interval.  Every map of the default method passes here, so the
+    trace holds between samples too."""
     drift = np.abs(_TRACE @ maps - _TRACE).max(axis=-1)
     if not drift.max() <= 10 * TRACE_TOL:
         k = int(np.argmax(drift))          # a nan drift counts as the largest
@@ -613,7 +621,8 @@ def _chain(maps, edges, y0):
             f"{edges[k + 1]:.6g}]")
     ys = np.empty((len(edges), y0.size))
     ys[0] = y0
-    for phi, y, y_next in zip(maps, ys, ys[1:]):
+    for phi, y, y_next in zip(np.broadcast_to(
+            maps, (len(edges) - 1,) + maps.shape[1:]), ys, ys[1:]):
         np.matmul(phi, y, out=y_next)
     return ys
 
@@ -641,13 +650,12 @@ def _static(kernel, y0, times):
     """States at the uniform `times`, from y0 at times[0], of dy/dt = G y
     for the constant generator G = kernel(times[0]): the step map
     P = exp(G dt) of one sample interval, computed once by `expm` (scaling
-    and squaring; Moler & Van Loan, SIAM Rev. 45, 3 (2003)), is every
-    interval's map in `_chain`, which checks it against the trace.  This is
-    exact up to rounding, so no tolerance applies.
+    and squaring; Moler & Van Loan, SIAM Rev. 45, 3 (2003)), goes to
+    `_chain` as the one map that every interval shares, so the trace check
+    runs on it once.  This is exact up to rounding, so no tolerance applies.
     """
     step = expm(kernel(times[0]) * (times[1] - times[0]))
-    return _chain(np.broadcast_to(step, (times.size - 1,) + step.shape),
-                  times, y0)
+    return _chain(step[None], times, y0)
 
 
 # Row j holds the coefficients 1/(4j + i)!, i = 0..3, of

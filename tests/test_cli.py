@@ -642,6 +642,28 @@ class TestMainEntry:
             capsys.readouterr().out
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("basis", ["bare", "adiabatic"])
+    @pytest.mark.parametrize("key, value", [("pulses.peak_omega", "1e150"),
+                                            ("detuning.delta0", "1e305")])
+    def test_overflow_fails_without_warnings(self, tmp_path, capsys, key,
+                                             value, basis):
+        """A hold whose step map overflows fails its point with exit code
+        3, and numpy's overflow and invalid-value warnings (here turned
+        into errors) stay off stderr."""
+        lines = [line for line in BUILTINS["hadamard_hold"].splitlines()
+                 if not line.startswith(key + " ")]
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text("\n".join(lines + [f"{key} = {value}",
+                                          f"propagator.basis = {basis}"]),
+                       encoding="utf-8")
+        assert main(["--out-dir", str(tmp_path), "--samples", "5",
+                     "run", str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert "[hadamard_hold] FAILED: trace drifted by nan over " \
+            "[0, 0.25]" in out
+        assert err == ""
+
     def test_failed_run_leaves_no_out_dir(self, tmp_path, capsys):
         """The output directory is made when a table is written, so a run
         that exits 3 into a fresh --out-dir leaves nothing behind."""

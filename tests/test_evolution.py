@@ -873,6 +873,24 @@ class TestChain:
                            r"1\.000e-06 over \[0\.4, 0\.6\]$"):
             evolution._chain(maps, self.EDGES, pack(SIG11))
 
+    def test_one_shared_map(self):
+        """One (1, 9, 9) map is every interval's: it is chained over all of
+        them, and checked once, a leak named as the first interval."""
+        rng = np.random.default_rng(127)
+        edges = self.EDGES[:5]
+        maps = self.identities()[:1]
+        maps[:, 3:] = rng.normal(size=(1, 6, 9))
+        y0 = rng.normal(size=9)
+        want = [y0]
+        for _ in range(4):
+            want.append(maps[0] @ want[-1])
+        np.testing.assert_array_equal(evolution._chain(maps, edges, y0),
+                                      want)
+        maps[0, 0, 0] += 1e-6
+        with pytest.raises(PropagationError, match=r"trace drifted by "
+                           r"1\.000e-06 over \[0, 0\.2\]$"):
+            evolution._chain(maps, edges, y0)
+
     def test_nan_map_fails(self):
         """A nan drift is not below any bound."""
         maps = self.identities()
@@ -1139,6 +1157,12 @@ class TestTrajectoryInvariants:
             traj.pops_bare, np.diagonal(traj.rho, axis1=1, axis2=2).real)
         np.testing.assert_array_equal(
             traj.pops_adiabatic, np.diagonal(traj.R, axis1=1, axis2=2).real)
+
+    def test_purity_evaluated_once(self):
+        s = static_schedule(100.0, 100.0, 1000.0)
+        traj = propagate(Configuration.LAMBDA, RateSet(), s, SIG11,
+                         samples=5)
+        assert traj.purity is traj.purity
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
