@@ -52,7 +52,7 @@ residual = fr.U.conj().T @ h @ fr.U - np.diag(fr.lam)
 print(f"\nAt t = {t_mid}: max |U^dag H U - diag(lam)| = "
       f"{np.max(np.abs(residual)):.2e}")
 
-# frame() also carries the angle rates; all of them come from angles(), the
+# frame() also carries the angle rates; all of them come from phasors(), the
 # elementwise kernel that the dressed integrator evaluates on its stage times.
 print(f"mixing angles: theta = {fr.theta:.4f}, phi = {fr.phi:.4f}, "
       f"Omega = {schedule.rabi(t_mid).omega:.3f}; rates theta' = "

@@ -1,6 +1,6 @@
 """Dissipative three-level dynamics in the bare and dressed bases."""
 
-from .adiabatic import AdiabaticFrame, angles, frame, rotation
+from .adiabatic import AdiabaticFrame, frame, rotation
 from .analysis import (QuadratureEstimate, StabilityReport,
                        compare_analytic_numeric, quadrature_solution,
                        stability_report)

@@ -27,13 +27,15 @@ defined as F = U^dag dU/dt, which is real antisymmetric with
 
     F12 = theta' cos(phi),  F13 = theta' sin(phi),  F23 = phi'.
 
-These formulas live once, in the elementwise numpy kernels `angles` and
-`rotation`.  `frame` evaluates them on a schedule at a scalar time or on a
-grid; it holds theta', phi and phi', which fix F.  `phasors` gives the
-same frame with exp(2i theta) and exp(i phi) in place of the angles,
-without transcendental functions; the dressed generator kernel of
-`evolution` weights its block table with it on the stage times of each
-integrator step.
+These formulas live once, in the elementwise numpy kernels `phasors` and
+`rotation`, by square roots and divisions alone: `phasors` gives the
+angles as the unit complex numbers exp(i theta) and exp(i phi), with the
+rates and quasienergies, and `rotation` reads U off their real and
+imaginary parts.  `frame` evaluates them on a schedule at a scalar time or
+on a grid, and reports the angles themselves as the arguments of the
+phasors; it holds theta', phi and phi', which fix F.  The dressed
+generator kernel of `evolution` takes its weights from `phasors` on the
+stage times of each integrator step.
 """
 
 from dataclasses import dataclass
@@ -62,19 +64,10 @@ class AdiabaticFrame:
     floor_engaged: np.ndarray  # s, bool
 
 
-def angles(op, oc, dop, doc, omega, domega, delta, ddelta):
-    """(theta, phi, theta', phi', lam2, lam3) from the drives, the total
-    coupling omega, the detuning and their time derivatives, elementwise."""
-    theta = np.arctan2(op, oc)
-    phi = 0.5 * np.arctan2(2.0 * omega, delta)
-    return (theta, phi) + _rates(op, oc, dop, doc, omega, domega, delta,
-                                 ddelta)[:4]
-
-
 def phasors(op, oc, dop, doc, omega, domega, delta, ddelta):
-    """(exp(2i theta), exp(i phi), theta', phi', lam2, lam3): `angles` with
-    its two angles as unit complex numbers, found by square roots and
-    divisions alone.
+    """(exp(i theta), exp(i phi), theta', phi', lam2, lam3) from the drives,
+    the total coupling omega, the detuning and their time derivatives,
+    elementwise, by square roots and divisions alone.
 
     exp(i theta) is (Omega_c + i Omega_p) over the modulus of the raw drives,
     which the Rabi floor does not touch, and 1 where both drives vanish, as
@@ -92,8 +85,8 @@ def phasors(op, oc, dop, doc, omega, domega, delta, ddelta):
     e_theta = np.empty(np.shape(raw), dtype=complex)
     e_theta.real, e_theta.imag = oc + vanish, op     # 1 where both vanish
     e_theta /= raw + vanish
-    return (e_theta * e_theta, np.sqrt((delta + 2j * omega) / root),
-            theta_dot, phi_dot, lam2, lam3)
+    return (e_theta, np.sqrt((delta + 2j * omega) / root), theta_dot,
+            phi_dot, lam2, lam3)
 
 
 def _rates(op, oc, dop, doc, omega, domega, delta, ddelta):
@@ -106,10 +99,11 @@ def _rates(op, oc, dop, doc, omega, domega, delta, ddelta):
             root)
 
 
-def rotation(theta, phi):
-    """The nine entries of U, row by row."""
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
+def rotation(e_theta, e_phi):
+    """The nine entries of U, row by row, from exp(i theta) and exp(i phi),
+    whose real and imaginary parts are the cosines and sines."""
+    ct, st = np.real(e_theta), np.imag(e_theta)
+    cp, sp = np.real(e_phi), np.imag(e_phi)
     return (ct, st * cp, st * sp,
             -st, ct * cp, ct * sp,
             0.0, -sp, cp)
@@ -121,14 +115,14 @@ def frame(schedule: PulseSchedule, t) -> AdiabaticFrame:
     t = np.asarray(t, dtype=float)
     sample = schedule.rabi(t)
     delta, ddelta = schedule.delta(t)
-    theta, phi, theta_dot, phi_dot, lam2, lam3 = angles(*sample[:6], delta,
-                                                        ddelta)
-    u = np.stack([np.broadcast_to(e, t.shape) for e in rotation(theta, phi)],
-                 axis=-1)
+    e_theta, e_phi, theta_dot, phi_dot, lam2, lam3 = phasors(*sample[:6],
+                                                             delta, ddelta)
+    u = np.stack([np.broadcast_to(e, t.shape)
+                  for e in rotation(e_theta, e_phi)], axis=-1)
     return AdiabaticFrame(
         t=t,
-        theta=theta,
-        phi=phi,
+        theta=np.angle(e_theta),
+        phi=np.angle(e_phi),
         theta_dot=theta_dot,
         phi_dot=phi_dot,
         lam=np.stack([np.zeros_like(lam2), lam2, lam3], axis=-1),

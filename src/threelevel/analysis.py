@@ -176,7 +176,7 @@ def stability_report(config, rates,
     """Dimensionless stability metrics evaluated at peak total coupling.
 
     Verdicts are None for the detuning-dependent metrics when the detuning
-    at the evaluation point is not positive.
+    at the evaluation point is negative.
     """
     derived = derived_rates(config, rates)
     T = schedule.horizon

@@ -18,8 +18,10 @@ R -> U R U^T.  The dressed dissipator is a trigonometric polynomial in the
 frame angles, invariant under (theta, phi) -> (-theta, phi + pi), so it
 enters as a table of 23 harmonic blocks, built once per propagation and
 weighted by the products of cos(2k theta) with even and of sin(2k theta)
-with odd harmonics cos/sin(k phi), which come from the drives as products
-of exp(2i theta) and exp(i phi) (`adiabatic.phasors`).  One grid kernel,
+with odd harmonics cos/sin(k phi).  `_harmonic_weights` writes those 23
+products, in table order, as products of exp(i theta) and exp(i phi),
+which come from the drives (`adiabatic.phasors`); the table is fitted
+through the same function at its nodes.  One grid kernel,
 `_generator_kernel`, maps an array of times to the stacked generators of
 either basis, on every schedule, by one formula: a row of weights times
 the basis's block table, whose bare rows are [D; Bp; Bc; Bd] with weights
@@ -218,33 +220,31 @@ _G = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
 _TRACE = pack(np.eye(3))
 
 
-def _harmonics(x, degree):
-    """1, then cos(k x), sin(k x) for k = 1..degree, along a new last axis:
-    the real and imaginary parts of exp(i k x), without sin(0)."""
-    waves = np.exp(1j * np.multiply.outer(x, np.arange(degree + 1.0)))
-    out = waves.view(float)[..., 1:]
-    out[..., 0] = 1.0
-    return out
-
-
-def _waves(e_2theta, e_phi):
-    """The harmonic weights of the frame angles from exp(2i theta) and
-    exp(i phi), by products: (1, cos 2theta, cos 4theta),
-    (sin 2theta, sin 4theta), the even harmonics
-    (1, cos 2phi, sin 2phi, cos 4phi, sin 4phi) and the odd ones
-    (cos phi, sin phi, cos 3phi, sin 3phi).  All four are float views of one
-    complex array (1, exp(2i theta), exp(4i theta), i, exp(2i phi),
+def _harmonic_weights(e_theta, e_phi, out):
+    """The 23 harmonic products of the frame angles that the dressed table
+    keeps, from exp(i theta) and exp(i phi) of shape s, written into `out`
+    of shape s + (23,) and returned, in table order: (1, cos 2theta,
+    cos 4theta) times the even harmonics (1, cos 2phi, sin 2phi, cos 4phi,
+    sin 4phi), then (sin 2theta, sin 4theta) times the odd ones (cos phi,
+    sin phi, cos 3phi, sin 3phi), row-major.  The factors are float views
+    of one complex array (1, exp(2i theta), exp(4i theta), i, exp(2i phi),
     exp(4i phi), exp(i phi), exp(3i phi)), whose 1 and i supply the leading
     1 of the cosines of theta and of the even harmonics of phi."""
-    waves = np.empty(np.shape(e_phi) + (8,), dtype=complex)
+    shape = np.shape(e_phi)
+    waves = np.empty(shape + (8,), dtype=complex)
     waves[..., 0:4:3] = (1.0, 1j)
-    waves[..., 1], waves[..., 6] = e_2theta, e_phi
-    np.multiply(e_2theta, e_2theta, out=waves[..., 2])
+    waves[..., 6] = e_phi
+    np.multiply(e_theta, e_theta, out=waves[..., 1])
+    np.multiply(waves[..., 1], waves[..., 1], out=waves[..., 2])
     np.multiply(e_phi, e_phi, out=waves[..., 4])
     np.multiply(waves[..., 4], waves[..., 4], out=waves[..., 5])
     np.multiply(waves[..., 4], e_phi, out=waves[..., 7])
     flat = waves.view(float)
-    return flat[..., 0:6:2], flat[..., 3:6:2], flat[..., 7:12], flat[..., 12:]
+    np.multiply(flat[..., 0:6:2, None], flat[..., None, 7:12],
+                out=out[..., :15].reshape(shape + (3, 5)))
+    np.multiply(flat[..., 3:6:2, None], flat[..., None, 12:],
+                out=out[..., 15:].reshape(shape + (2, 4)))
+    return out
 
 
 # W^-1 D W is bilinear in W and W^-1, each quadratic in the entries of
@@ -261,16 +261,14 @@ def _waves(e_2theta, e_phi):
 # cosines of 2 theta pair only with even harmonics of phi (3 x 5 blocks)
 # and the sines only with odd ones (2 x 4), 23 of the 45 products.  The
 # blocks follow from W at a tensor grid of equispaced nodes, one period
-# each, through the rows of the inverse of the grid's harmonic values that
-# give those 23 products (`_waves` order); the other 22 rows give zero up to
-# rounding.  W at the nodes does not depend on the rates.
-_THETA_NODES, _PHI_NODES = np.meshgrid(np.arange(5) * (np.pi / 5),
-                                       np.arange(9) * (2 * np.pi / 9),
-                                       indexing="ij")
-_HARMONIC_INV = np.linalg.inv(np.kron(
-    _harmonics(2.0 * _THETA_NODES[:, 0], 2), _harmonics(_PHI_NODES[0], 4)))[
-    [9 * i + j for i in (0, 1, 3) for j in (0, 3, 4, 7, 8)]
-    + [9 * i + j for i in (2, 4) for j in (1, 2, 5, 6)]]
+# each: exp(i theta) runs over exp(i pi k / 5) and exp(i phi) over the
+# ninth roots of unity.  The 45 harmonics are orthogonal over that grid, so
+# the pseudo-inverse of the 23 kept products there gives the blocks (the
+# other 22 give zero up to rounding).  W at the nodes does not depend on
+# the rates.
+_NODES = (np.repeat(np.exp(1j * np.pi / 5 * np.arange(5)), 9),
+          np.tile(np.exp(2j * np.pi / 9 * np.arange(9)), 5))
+_HARMONIC_INV = np.linalg.pinv(_harmonic_weights(*_NODES, np.empty((45, 23))))
 
 
 def _frame_superops(u: np.ndarray) -> np.ndarray:
@@ -281,15 +279,16 @@ def _frame_superops(u: np.ndarray) -> np.ndarray:
                      optimize=True).real / _G[:, None]
 
 
-_NODE_W = _frame_superops(np.stack(np.broadcast_arrays(*adiabatic.rotation(
-    _THETA_NODES.ravel(), _PHI_NODES.ravel())), axis=-1).reshape(45, 3, 3))
+_NODE_W = _frame_superops(np.stack(np.broadcast_arrays(
+    *adiabatic.rotation(*_NODES)), axis=-1).reshape(45, 3, 3))
 
 
 def _dressed_table(d9: np.ndarray) -> np.ndarray:
     """(28, 81) blocks of the dressed generator: the five `_DRESSED` blocks,
     then the 23 harmonic blocks of W^-1 D W, row-major over the products of
     (1, cos 2theta, cos 4theta) with the even harmonics of phi, then of
-    (sin 2theta, sin 4theta) with the odd ones, as `_waves` orders them."""
+    (sin 2theta, sin 4theta) with the odd ones, as `_harmonic_weights`
+    orders them."""
     at_nodes = _NODE_W.swapaxes(1, 2) @ (_G[:, None] * d9) @ _NODE_W
     return np.concatenate([_DRESSED, _HARMONIC_INV @ (
         at_nodes / _G[:, None]).reshape(45, 81)])
@@ -313,8 +312,8 @@ def _generator_kernel(schedule: PulseSchedule, d9: np.ndarray, basis: str):
     four blocks, so the sum is exact.  The dressed table is
     `_dressed_table`, weighted by the quasienergies, the rotation rates and
     the 23 harmonic products of the frame angles that its parity keeps,
-    from `adiabatic.phasors` and `_waves`.  A static schedule gets no
-    formula of its own: the default method reads its kernel once
+    from `adiabatic.phasors` and `_harmonic_weights`.  A static schedule
+    gets no formula of its own: the default method reads its kernel once
     (`_static`), and the oracle at its Gauss nodes, as on any schedule.
     """
     if basis == "bare":
@@ -329,15 +328,12 @@ def _generator_kernel(schedule: PulseSchedule, d9: np.ndarray, basis: str):
         table = _dressed_table(d9)
 
         def weigh(t, w):
-            e_2theta, e_phi, theta_dot, phi_dot, lam2, lam3 = \
+            e_theta, e_phi, theta_dot, phi_dot, lam2, lam3 = \
                 adiabatic.phasors(*schedule.rabi(t)[:6], *schedule.delta(t))
-            cos_theta, sin_theta, even, odd = _waves(e_2theta, e_phi)
             w[..., 0], w[..., 1], w[..., 4] = lam2, lam3, phi_dot
-            np.multiply(theta_dot[..., None], odd[..., :2], out=w[..., 2:4])
-            np.multiply(cos_theta[..., :, None], even[..., None, :],
-                        out=w[..., 5:20].reshape(t.shape + (3, 5)))
-            np.multiply(sin_theta[..., :, None], odd[..., None, :],
-                        out=w[..., 20:].reshape(t.shape + (2, 4)))
+            np.multiply(theta_dot[..., None], e_phi[..., None].view(float),
+                        out=w[..., 2:4])
+            _harmonic_weights(e_theta, e_phi, w[..., 5:])
 
     def kernel(t, out=None):
         t = np.asarray(t, dtype=float)

@@ -177,11 +177,11 @@ class PulseSchedule:
         return PulseSample(op, oc, dop, doc, omega, domega, floor_engaged)
 
     def delta(self, t):
-        """Detuning value and derivative at time t."""
+        """Detuning value and derivative at time t; a constant detuning's
+        derivative is the scalar 0.0, which broadcasts against the value."""
         d = self.detuning
         if d.kind == "constant":
-            t = np.asarray(t, dtype=float)
-            return np.full_like(t, d.delta0), np.zeros_like(t)
+            return np.full_like(np.asarray(t, dtype=float), d.delta0), 0.0
         sample = self.rabi(t)
         growth = np.exp(d.gamma1 * (np.asarray(t, dtype=float) - d.t0))
         value = d.delta0 * sample.omega * growth

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from threelevel.adiabatic import angles, frame, rotation
+from threelevel.adiabatic import frame, phasors, rotation
 from threelevel.dissipation import ketbra
 from threelevel.pulses import (ConstantPulse, DetuningSchedule,
                                make_stirap_schedule, theta_law_schedule,
@@ -37,6 +37,23 @@ def coupling(fr):
     f[..., 0, 2] = fr.theta_dot * np.sin(fr.phi)
     f[..., 1, 2] = fr.phi_dot
     return f - f.swapaxes(-1, -2)
+
+
+def reference_angles(op, oc, omega, delta):
+    """theta = atan2(Omega_p, Omega_c) from the raw drives and
+    phi = atan2(2 Omega, Delta) / 2 from the floored coupling."""
+    return np.arctan2(op, oc), 0.5 * np.arctan2(2.0 * omega, delta)
+
+
+def reference_rotation(theta, phi):
+    """U = A(theta) B(phi) from the sines and cosines of the angles, shape
+    s + (3, 3) for angles of shape s."""
+    s_t, c_t = np.sin(theta), np.cos(theta)
+    s_p, c_p = np.sin(phi), np.cos(phi)
+    rows = np.broadcast_arrays(c_t, s_t * c_p, s_t * s_p,
+                               -s_t, c_t * c_p, c_t * s_p,
+                               0.0, -s_p, c_p)
+    return np.stack(rows, axis=-1).reshape(np.shape(rows[0]) + (3, 3))
 
 
 class TestHamiltonian:
@@ -147,7 +164,8 @@ class TestFrame:
         for op, oc, delta in zip(ops, ocs, deltas):
             theta = math.atan2(op, oc)
             phi = 0.5 * math.atan2(2 * math.hypot(op, oc), delta)
-            u = np.array(rotation(theta, phi)).reshape(3, 3)
+            u = np.array(rotation(np.exp(1j * theta),
+                                  np.exp(1j * phi))).reshape(3, 3)
             assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-10
             assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-10
 
@@ -235,8 +253,9 @@ detuning = st.floats(-3000.0, 3000.0)
 
 
 class TestKernel:
-    """Properties of `angles` and `rotation` over random drives, their
-    derivatives and detunings."""
+    """Properties of `phasors` and `rotation` over random drives, their
+    derivatives and detunings, and `frame` against the atan2, sine and
+    cosine forms of the angles and of U."""
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
@@ -249,8 +268,8 @@ class TestKernel:
         assume(omega > 1e-6)   # below the floor U no longer diagonalizes H
         domega = (op * dop + oc * doc) / omega
         args = (op, oc, dop, doc, omega, domega, delta, ddelta)
-        scalar = angles(*args)
-        grid = angles(*(np.full(17, a) for a in args))
+        scalar = phasors(*args)
+        grid = phasors(*(np.full(17, a) for a in args))
         array = [a[3] for a in grid]
         root = math.hypot(delta, 2.0 * omega)
         scales = (1.0, 1.0, abs(scalar[2]), abs(scalar[3]), root, root)
@@ -263,6 +282,29 @@ class TestKernel:
         h = np.array([[0.0, 0.0, op], [0.0, 0.0, oc], [op, oc, delta]])
         lam = np.diag([0.0, scalar[4], scalar[5]])
         assert np.max(np.abs(u.T @ h @ u - lam)) < 1e-12 * max(root, 1.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+           st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+           st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+           st.sampled_from([-1.0, 1.0]))
+    def test_frame_matches_atan2(self, omega_p, omega_c, ratio, sign):
+        """`frame`'s theta and phi, the arguments of the phasors, are the
+        atan2 angles, and its U, read off the phasors' real and imaginary
+        parts, is the sine and cosine form, to 1e-15, at a time and on a
+        grid.  Zero drives engage the Rabi floor and keep atan2(0, 0) = 0;
+        Delta is zero or |Delta| / Omega reaches 1e6, with either sign."""
+        omega = float(static_schedule(omega_p, omega_c, 0.0).rabi(0.0).omega)
+        delta = sign * ratio * omega
+        s = static_schedule(omega_p, omega_c, delta)
+        theta, phi = reference_angles(omega_p, omega_c, omega, delta)
+        u = reference_rotation(theta, phi)
+        for t in (0.0, np.zeros(3)):
+            fr = frame(s, t)
+            assert np.max(np.abs(fr.theta - theta)) <= 1e-15
+            assert np.max(np.abs(fr.phi - phi)) <= 1e-15
+            assert np.max(np.abs(fr.U - u)) <= 1e-15
 
     @settings(max_examples=100, deadline=None, derandomize=True,
               database=None)

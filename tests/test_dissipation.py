@@ -1,7 +1,9 @@
+from dataclasses import astuple, replace
+
 import numpy as np
 import pytest
 
-from threelevel.adiabatic import frame
+from threelevel.adiabatic import frame, rotation
 from threelevel.dissipation import (Configuration, DerivedRates, RateSet,
                                     derived_rates, dissipator, ketbra,
                                     lindblad_ops)
@@ -149,6 +151,76 @@ class TestAdiabaticDissipator:
         out = dressed_dissipator(Configuration.LAMBDA, rates, fr.U,
                                  ketbra(1, 1))
         np.testing.assert_allclose(out, np.zeros((3, 3)), atol=1e-13)
+
+
+def frozen_leak(config, rates, verbatim, theta, phi, n):
+    """-<lam_n| D(|lam_n><lam_n|) |lam_n>: the rate at which the dissipator,
+    frozen at the angles (theta, phi), drains dressed state n (0 for the
+    dark state |lam1>, 1 for the b-state |lam2>)."""
+    u = np.array(rotation(np.exp(1j * theta), np.exp(1j * phi))).reshape(3, 3)
+    ket = u[:, n]
+    out = dissipator(lindblad_ops(config, rates, verbatim),
+                     np.outer(ket, ket))
+    return -(ket @ out @ ket).real
+
+
+LEAK_SCHEMES = [(Configuration.LAMBDA, False), (Configuration.XI, False),
+                (Configuration.XI, True), (Configuration.V, False)]
+
+
+class TestFrozenLeak:
+    """Leak rates of the dressed states under the dissipator frozen at
+    fixed angles, with random rates of at most 2/T (T = 1) and random
+    angles; no propagation.  Each identity holds to
+    1e-14 max(1, sum of the rates)."""
+
+    @staticmethod
+    def draws(seed, count=100):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            yield (RateSet(*rng.uniform(0.0, 2.0, size=5)),
+                   rng.uniform(0.0, np.pi / 2), rng.uniform(0.0, np.pi / 2))
+
+    @staticmethod
+    def bound(*rate_sets):
+        return 1e-14 * max(1.0, *(sum(astuple(r)) for r in rate_sets))
+
+    @pytest.mark.parametrize("config, verbatim", LEAK_SCHEMES)
+    def test_b_state_is_swapped_dark_state(self, config, verbatim):
+        """At phi = 0 the b-state leak at pi/2 - theta, the pump/Stokes
+        swap, is the dark-state leak at theta, in every scheme."""
+        for rates, theta, _ in self.draws(61):
+            dark = frozen_leak(config, rates, verbatim, theta, 0.0, 0)
+            b = frozen_leak(config, rates, verbatim, np.pi / 2 - theta, 0.0, 1)
+            assert abs(b - dark) <= self.bound(rates)
+
+    @pytest.mark.parametrize("config, verbatim", [
+        (Configuration.LAMBDA, False), (Configuration.XI, True)])
+    def test_dark_leak_is_gamma_c_form(self, config, verbatim):
+        """In lambda and in verbatim xi the dark state leaks at
+        (gamma_c / 2) sin^2(2 theta), whatever phi."""
+        for rates, theta, phi in self.draws(67):
+            gamma_c = derived_rates(config, rates).gamma_c
+            leak = frozen_leak(config, rates, verbatim, theta, phi, 0)
+            assert abs(leak - 0.5 * gamma_c * np.sin(2 * theta) ** 2) \
+                <= self.bound(rates)
+
+    @pytest.mark.parametrize("config, verbatim, names", [
+        (Configuration.LAMBDA, False, ("gamma1", "gamma2", "gamma3_deph")),
+        (Configuration.XI, False, ("gamma1", "gamma3_deph")),
+        (Configuration.XI, True, ("gamma1", "gamma3_deph"))])
+    def test_rates_outside_gamma_c_do_not_leak(self, config, verbatim,
+                                               names):
+        """A tenfold change of a rate outside gamma_c moves neither the
+        dark-state leak at (theta, phi) nor the b-state leak at
+        (theta, 0)."""
+        for rates, theta, phi in self.draws(71):
+            for name in names:
+                scaled = replace(rates, **{name: 10 * getattr(rates, name)})
+                for angles, n in (((theta, phi), 0), ((theta, 0.0), 1)):
+                    before = frozen_leak(config, rates, verbatim, *angles, n)
+                    after = frozen_leak(config, scaled, verbatim, *angles, n)
+                    assert abs(after - before) <= self.bound(rates, scaled)
 
 
 class TestDerivedRates:

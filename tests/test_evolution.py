@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from threelevel import _dop853_coefficients, adiabatic
-from threelevel.adiabatic import frame, rotation
+from threelevel.adiabatic import frame
 from threelevel.dissipation import (Configuration, RateSet, derived_rates,
                                     dissipator, ketbra, lindblad_ops)
 from threelevel import evolution
@@ -1025,9 +1025,18 @@ class TestStaticRoute:
 rate_or_off = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
 
 
+def harmonics(x, degree):
+    """1, then cos(k x), sin(k x) for k = 1..degree, along a new last axis."""
+    kx = np.multiply.outer(x, np.arange(1.0, degree + 1))
+    waves = np.stack([np.cos(kx), np.sin(kx)], axis=-1)
+    return np.concatenate([np.ones(np.shape(x) + (1,)),
+                           waves.reshape(np.shape(x) + (2 * degree,))],
+                          axis=-1)
+
+
 def parity_products(theta_waves, phi_waves):
     """The 23 harmonic products of the dressed table, from
-    `_harmonics(2 theta, 2)` and `_harmonics(phi, 4)` over any leading
+    `harmonics(2 theta, 2)` and `harmonics(phi, 4)` over any leading
     axes: (1, cos 2theta, cos 4theta) times the even harmonics
     (1, cos 2phi, sin 2phi, cos 4phi, sin 4phi), then
     (sin 2theta, sin 4theta) times the odd ones
@@ -1064,10 +1073,14 @@ class TestHarmonicBlocks:
             lindblad_ops(config, RateSet(*rates), verbatim))
         table = evolution._dressed_table(d9)
         assert table.shape == (28, 81)
-        weights = parity_products(evolution._harmonics(2.0 * theta, 2),
-                                  evolution._harmonics(phi, 4))
+        weights = parity_products(harmonics(2.0 * theta, 2),
+                                  harmonics(phi, 4))
         got = (weights @ table[5:]).reshape(9, 9)
-        u = np.array(rotation(theta, phi)).reshape(3, 3)
+        s_t, c_t, s_p, c_p = (math.sin(theta), math.cos(theta),
+                              math.sin(phi), math.cos(phi))
+        u = np.array([[c_t, s_t * c_p, s_t * s_p],
+                      [-s_t, c_t * c_p, c_t * s_p],
+                      [0.0, -s_p, c_p]])
         w = real_superop(lambda rho: u @ rho @ u.T)
         g = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
         ref = (w.T @ (g[:, None] * d9) @ w) / g[:, None]
@@ -1224,9 +1237,10 @@ class TestTrajectoryInvariants:
 
 class TestHarmonicWeights:
     """The dressed kernel's harmonic weights, built from the drives by
-    square roots and complex products, against `_harmonics` of the angles of
-    `adiabatic.angles` (atan2).  Zero drives engage the Rabi floor and keep
-    atan2(0, 0) = 0; |Delta| / Omega reaches 1e6 with either sign."""
+    square roots and complex products, against `harmonics` of the atan2
+    angles, theta = atan2(Omega_p, Omega_c) and
+    phi = atan2(2 Omega, Delta) / 2.  Zero drives engage the Rabi floor and
+    keep atan2(0, 0) = 0; |Delta| / Omega reaches 1e6 with either sign."""
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
@@ -1240,14 +1254,11 @@ class TestHarmonicWeights:
         sample = s.rabi(t)
         delta = np.full(3, sign * ratio * float(sample.omega[0]))
         drives = (*sample[:6], delta, np.zeros(3))
-        theta, phi = adiabatic.angles(*drives)[:2]
-        cos_theta, sin_theta, even, odd = evolution._waves(
-            *adiabatic.phasors(*drives)[:2])
-        got = np.concatenate([
-            (cos_theta[:, :, None] * even[:, None, :]).reshape(3, 15),
-            (sin_theta[:, :, None] * odd[:, None, :]).reshape(3, 8)], axis=1)
-        ref = parity_products(evolution._harmonics(2.0 * theta, 2),
-                              evolution._harmonics(phi, 4))
+        theta = np.arctan2(sample.omega_p, sample.omega_c)
+        phi = 0.5 * np.arctan2(2.0 * sample.omega, delta)
+        got = evolution._harmonic_weights(*adiabatic.phasors(*drives)[:2],
+                                          np.empty((3, 23)))
+        ref = parity_products(harmonics(2.0 * theta, 2), harmonics(phi, 4))
         assert np.max(np.abs(got - ref)) <= 1e-13
 
 
