@@ -30,12 +30,13 @@ defined as F = U^dag dU/dt, which is real antisymmetric with
 These formulas live once, in the elementwise numpy kernels `phasors` and
 `rotation`, by square roots and divisions alone: `phasors` gives the
 angles as the unit complex numbers exp(i theta) and exp(i phi), with the
-rates and quasienergies, and `rotation` reads U off their real and
-imaginary parts.  `frame` evaluates them on a schedule at a scalar time or
-on a grid, and reports the angles themselves as the arguments of the
-phasors; it holds theta', phi and phi', which fix F.  The dressed
-generator kernel of `evolution` takes its weights from `phasors` on the
-stage times of each integrator step.
+rates and quasienergies, and `rotation` reads the real U, stacked like
+the phasors, off their real and imaginary parts.  `frame` evaluates them
+on one `rabi` sample of a schedule, at a scalar time or on a grid, and
+reports the angles themselves as the arguments of the phasors; it holds
+theta', phi and phi', which fix F.  The dressed generator kernel of
+`evolution` takes its weights from `phasors` on the stage times of each
+integrator step.
 """
 
 from dataclasses import dataclass
@@ -100,25 +101,22 @@ def _rates(op, oc, dop, doc, omega, domega, delta, ddelta):
 
 
 def rotation(e_theta, e_phi):
-    """The nine entries of U, row by row, from exp(i theta) and exp(i phi),
-    whose real and imaginary parts are the cosines and sines."""
+    """The real U, shape s + (3, 3), from exp(i theta) and exp(i phi) of
+    shape s, whose real and imaginary parts are the cosines and sines."""
     ct, st = np.real(e_theta), np.imag(e_theta)
     cp, sp = np.real(e_phi), np.imag(e_phi)
-    return (ct, st * cp, st * sp,
-            -st, ct * cp, ct * sp,
-            0.0, -sp, cp)
+    rows = np.broadcast_arrays(ct, st * cp, st * sp,
+                               -st, ct * cp, ct * sp,
+                               0.0, -sp, cp)
+    return np.stack(rows, axis=-1).reshape(rows[0].shape + (3, 3))
 
 
 def frame(schedule: PulseSchedule, t) -> AdiabaticFrame:
     """The dressed frame (angles, rates, quasienergies, U and the drive
-    values) at a time or on a grid of times."""
+    values) at a time or on a grid of times, from one `rabi` sample."""
     t = np.asarray(t, dtype=float)
     sample = schedule.rabi(t)
-    delta, ddelta = schedule.delta(t)
-    e_theta, e_phi, theta_dot, phi_dot, lam2, lam3 = phasors(*sample[:6],
-                                                             delta, ddelta)
-    u = np.stack([np.broadcast_to(e, t.shape)
-                  for e in rotation(e_theta, e_phi)], axis=-1)
+    e_theta, e_phi, theta_dot, phi_dot, lam2, lam3 = phasors(*sample[:8])
     return AdiabaticFrame(
         t=t,
         theta=np.angle(e_theta),
@@ -126,9 +124,9 @@ def frame(schedule: PulseSchedule, t) -> AdiabaticFrame:
         theta_dot=theta_dot,
         phi_dot=phi_dot,
         lam=np.stack([np.zeros_like(lam2), lam2, lam3], axis=-1),
-        U=u.reshape(t.shape + (3, 3)).astype(complex),
+        U=rotation(e_theta, e_phi).astype(complex),
         omega_p=np.asarray(sample.omega_p, dtype=float),
         omega_c=np.asarray(sample.omega_c, dtype=float),
-        delta=np.asarray(delta, dtype=float),
+        delta=np.asarray(sample.delta, dtype=float),
         floor_engaged=np.asarray(sample.floor_engaged, dtype=bool),
     )

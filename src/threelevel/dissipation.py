@@ -100,8 +100,9 @@ def lindblad_ops(config: Configuration, rates: RateSet,
 
 
 def dissipator(ops: list, rho: np.ndarray) -> np.ndarray:
-    """(1/2) sum_k (2 L_k rho L_k^dag - L_k^dag L_k rho - rho L_k^dag L_k)."""
-    out = np.zeros((3, 3), dtype=complex)
+    """(1/2) sum_k (2 L_k rho L_k^dag - L_k^dag L_k rho - rho L_k^dag L_k),
+    on a 3x3 rho or a stack of them."""
+    out = np.zeros(np.shape(rho), dtype=complex)
     for op in ops:
         opd = op.conj().T
         anti = opd @ op

@@ -13,19 +13,20 @@ imaginary parts of the upper-triangle coherences), so Hermiticity is
 structural; the trace is monitored, never renormalized.  Both equations
 multiply it by a real 9x9 generator, a weighted sum of fixed blocks: the
 bare one is D + Omega_p Bp + Omega_c Bc + Delta Bd, the dressed one
-lam2 C2 + lam3 C3 + [., F] + W^-1 D W, with W the superoperator of
-R -> U R U^T.  The dressed dissipator is a trigonometric polynomial in the
-frame angles, invariant under (theta, phi) -> (-theta, phi + pi), so it
-enters as a table of 23 harmonic blocks, built once per propagation and
-weighted by the products of cos(2k theta) with even and of sin(2k theta)
-with odd harmonics cos/sin(k phi).  `_harmonic_weights` writes those 23
-products, in table order, as products of exp(i theta) and exp(i phi),
-which come from the drives (`adiabatic.phasors`); the table is fitted
-through the same function at its nodes.  One grid kernel,
-`_generator_kernel`, maps an array of times to the stacked generators of
-either basis, on every schedule, by one formula: a row of weights times
-the basis's block table, whose bare rows are [D; Bp; Bc; Bd] with weights
-(1, Omega_p, Omega_c, Delta).
+lam2 C2 + lam3 C3 + [., F] + W^-1 D W, with W and W^-1 the superoperators
+of R -> U R U^T and R -> U^T R U.  One builder, `real_superop`, makes
+each superoperator by one call of its map on the nine basis matrices.  The
+dressed dissipator is a trigonometric polynomial in the frame angles,
+invariant under (theta, phi) -> (-theta, phi + pi), so it enters as a
+table of 23 harmonic blocks, built once per propagation and weighted by
+the products of cos(2k theta) with even and of sin(2k theta) with odd
+harmonics cos/sin(k phi).  `_harmonic_weights` writes those 23 products,
+in table order, as products of exp(i theta) and exp(i phi), which come
+from the drives (`adiabatic.phasors`); the table is fitted through the
+same function at its nodes.  One grid kernel, `_generator_kernel`, maps
+an array of times to the stacked generators of either basis, on every
+schedule, by one formula: a row of weights times the basis's block
+table, [D; Bp; Bc; Bd] weighted by (1, Omega_p, Omega_c, Delta) when bare.
 
 One public `propagate` builds the kernel of the basis its settings name
 and runs one of two integrators on it.  The default, `_segmented`, uses
@@ -154,13 +155,17 @@ class Trajectory:
 
 # --- real 9-vector representation -----------------------------------------
 
+_UPPER = ([0, 0, 1], [1, 2, 2])    # upper-triangle indices, packed order
+
+
 def pack(rho: np.ndarray) -> np.ndarray:
-    """Hermitian 3x3 -> real 9-vector (populations, then Re/Im coherences)."""
-    r = np.empty(9)
-    r[0], r[1], r[2] = rho[0, 0].real, rho[1, 1].real, rho[2, 2].real
-    r[3], r[4] = rho[0, 1].real, rho[0, 1].imag
-    r[5], r[6] = rho[0, 2].real, rho[0, 2].imag
-    r[7], r[8] = rho[1, 2].real, rho[1, 2].imag
+    """Hermitian 3x3 matrices -> real 9-vectors (populations, then Re, Im
+    of each upper-triangle coherence), over any leading axes."""
+    rho = np.asarray(rho)
+    upper = rho[..., _UPPER[0], _UPPER[1]]
+    r = np.empty(rho.shape[:-2] + (9,))
+    r[..., :3] = np.diagonal(rho, axis1=-2, axis2=-1).real
+    r[..., 3::2], r[..., 4::2] = upper.real, upper.imag
     return r
 
 
@@ -169,23 +174,20 @@ def unpack(rs: np.ndarray) -> np.ndarray:
     rs = np.asarray(rs)
     rho = np.empty(rs.shape[:-1] + (3, 3), dtype=complex)
     rho[..., range(3), range(3)] = rs[..., :3]
-    rho[..., 0, 1] = rs[..., 3] + 1j * rs[..., 4]
-    rho[..., 0, 2] = rs[..., 5] + 1j * rs[..., 6]
-    rho[..., 1, 2] = rs[..., 7] + 1j * rs[..., 8]
-    rho[..., 1, 0] = np.conj(rho[..., 0, 1])
-    rho[..., 2, 0] = np.conj(rho[..., 0, 2])
-    rho[..., 2, 1] = np.conj(rho[..., 1, 2])
+    upper = rs[..., 3::2] + 1j * rs[..., 4::2]
+    rho[..., _UPPER[0], _UPPER[1]] = upper
+    rho[..., _UPPER[1], _UPPER[0]] = np.conj(upper)
     return rho
 
 
+_BASIS = unpack(np.eye(9))    # the B_k of rho = sum_k r_k B_k
+
+
 def real_superop(apply_map) -> np.ndarray:
-    """9x9 real matrix of a Hermiticity-preserving linear map on rho."""
-    m = np.empty((9, 9))
-    for k in range(9):
-        e = np.zeros(9)
-        e[k] = 1.0
-        m[:, k] = pack(apply_map(unpack(e)))
-    return m
+    """Real matrices, shape s + (9, 9), of a stack s of Hermiticity-
+    preserving linear maps on rho (s = () for one), from one call of
+    `apply_map` on the stack of the nine B_k: column k packs B_k's image."""
+    return pack(apply_map(_BASIS)).swapaxes(-1, -2)
 
 
 def _commutator_superop(a: np.ndarray, scale: complex) -> np.ndarray:
@@ -210,10 +212,6 @@ _DRESSED = np.stack([
     _commutator_superop(ketbra(1, 3) - ketbra(3, 1), -1.0),
     _commutator_superop(ketbra(2, 3) - ketbra(3, 2), -1.0),
 ]).reshape(5, 81)
-
-# Frobenius metric of the packed coordinates, tr(A B) = a . (G b).  A real
-# orthogonal U preserves it, so W^-1 = G^-1 W^T G.
-_G = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
 
 # The trace row: tr(rho) = _TRACE . pack(rho), and _TRACE G = 0 for the
 # generator G of either basis, since both equations keep the trace.
@@ -260,38 +258,29 @@ def _harmonic_weights(e_theta, e_phi, out):
 # and keeps the even harmonics of phi and flips the odd ones.  So the
 # cosines of 2 theta pair only with even harmonics of phi (3 x 5 blocks)
 # and the sines only with odd ones (2 x 4), 23 of the 45 products.  The
-# blocks follow from W at a tensor grid of equispaced nodes, one period
-# each: exp(i theta) runs over exp(i pi k / 5) and exp(i phi) over the
-# ninth roots of unity.  The 45 harmonics are orthogonal over that grid, so
-# the pseudo-inverse of the 23 kept products there gives the blocks (the
-# other 22 give zero up to rounding).  W at the nodes does not depend on
-# the rates.
+# blocks follow from W^-1 D W at a tensor grid of equispaced nodes, one
+# period each: exp(i theta) runs over exp(i pi k / 5) and exp(i phi) over
+# the ninth roots of unity.  The 45 harmonics are orthogonal over that
+# grid, so the pseudo-inverse of the 23 kept products there gives the
+# blocks (the other 22 give zero up to rounding).  W and W^-1 at the
+# nodes, the superoperators of R -> U R U^T and of R -> U^T R U, do not
+# depend on the rates and are built here once.
 _NODES = (np.repeat(np.exp(1j * np.pi / 5 * np.arange(5)), 9),
           np.tile(np.exp(2j * np.pi / 9 * np.arange(9)), 5))
 _HARMONIC_INV = np.linalg.pinv(_harmonic_weights(*_NODES, np.empty((45, 23))))
-
-
-def _frame_superops(u: np.ndarray) -> np.ndarray:
-    """(n, 9, 9) real matrices of R -> U R U^T for real (n, 3, 3) U.  With
-    rho = sum_b r_b B_b over the packed basis B, r_a = tr(B_a rho) / G_a."""
-    basis = unpack(np.eye(9))
-    return np.einsum("aqp,npi,bij,nqj->nab", basis, u, basis, u,
-                     optimize=True).real / _G[:, None]
-
-
-_NODE_W = _frame_superops(np.stack(np.broadcast_arrays(
-    *adiabatic.rotation(*_NODES)), axis=-1).reshape(45, 3, 3))
+_NODE_U = adiabatic.rotation(*_NODES)[:, None]           # (45, 1, 3, 3)
+_NODE_W = real_superop(lambda r: _NODE_U @ r @ _NODE_U.mT)
+_NODE_W_INV = real_superop(lambda r: _NODE_U.mT @ r @ _NODE_U)
 
 
 def _dressed_table(d9: np.ndarray) -> np.ndarray:
     """(28, 81) blocks of the dressed generator: the five `_DRESSED` blocks,
-    then the 23 harmonic blocks of W^-1 D W, row-major over the products of
-    (1, cos 2theta, cos 4theta) with the even harmonics of phi, then of
-    (sin 2theta, sin 4theta) with the odd ones, as `_harmonic_weights`
-    orders them."""
-    at_nodes = _NODE_W.swapaxes(1, 2) @ (_G[:, None] * d9) @ _NODE_W
+    then the 23 harmonic blocks of W^-1 D W, fitted through its values at
+    the 45 nodes, row-major over the products of (1, cos 2theta,
+    cos 4theta) with the even harmonics of phi, then of (sin 2theta,
+    sin 4theta) with the odd ones, as `_harmonic_weights` orders them."""
     return np.concatenate([_DRESSED, _HARMONIC_INV @ (
-        at_nodes / _G[:, None]).reshape(45, 81)])
+        _NODE_W_INV @ d9 @ _NODE_W).reshape(45, 81)])
 
 
 def dissipator_superop(ops: list) -> np.ndarray:
@@ -329,7 +318,7 @@ def _generator_kernel(schedule: PulseSchedule, d9: np.ndarray, basis: str):
 
         def weigh(t, w):
             e_theta, e_phi, theta_dot, phi_dot, lam2, lam3 = \
-                adiabatic.phasors(*schedule.rabi(t)[:6], *schedule.delta(t))
+                adiabatic.phasors(*schedule.rabi(t)[:8])
             w[..., 0], w[..., 1], w[..., 4] = lam2, lam3, phi_dot
             np.multiply(theta_dot[..., None], e_phi[..., None].view(float),
                         out=w[..., 2:4])

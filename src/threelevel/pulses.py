@@ -143,6 +143,8 @@ class PulseSample(NamedTuple):
     domega_c: np.ndarray
     omega: np.ndarray
     domega: np.ndarray
+    delta: np.ndarray
+    ddelta: np.ndarray
     floor_engaged: np.ndarray
 
 
@@ -163,6 +165,7 @@ class PulseSchedule:
     floor_omega: float
 
     def rabi(self, t) -> PulseSample:
+        """Drives, total coupling and detuning, with derivatives, at t."""
         (op, dop), (oc, doc) = self.pump.sample(t), self.stokes.sample(t)
         omega_raw = np.hypot(op, oc)
         if self.floor_omega > 0.0:
@@ -174,19 +177,24 @@ class PulseSchedule:
             floor_engaged = np.zeros_like(omega_raw, dtype=bool)
             omega = omega_raw
         domega = (op * dop + oc * doc) / omega
-        return PulseSample(op, oc, dop, doc, omega, domega, floor_engaged)
-
-    def delta(self, t):
-        """Detuning value and derivative at time t; a constant detuning's
-        derivative is the scalar 0.0, which broadcasts against the value."""
         d = self.detuning
         if d.kind == "constant":
-            return np.full_like(np.asarray(t, dtype=float), d.delta0), 0.0
-        sample = self.rabi(t)
-        growth = np.exp(d.gamma1 * (np.asarray(t, dtype=float) - d.t0))
-        value = d.delta0 * sample.omega * growth
-        deriv = d.delta0 * growth * (sample.domega + d.gamma1 * sample.omega)
-        return value, deriv
+            delta, ddelta = self.delta(t)
+        else:   # the shaped law follows the total coupling
+            growth = np.exp(d.gamma1 * (np.asarray(t, dtype=float) - d.t0))
+            delta = d.delta0 * omega * growth
+            ddelta = d.delta0 * growth * (domega + d.gamma1 * omega)
+        return PulseSample(op, oc, dop, doc, omega, domega, delta, ddelta,
+                           floor_engaged)
+
+    def delta(self, t):
+        """Detuning value and derivative at time t: a constant detuning's,
+        without the drives, with the scalar derivative 0.0, which
+        broadcasts against the value, and a shaped one's from `rabi(t)`."""
+        d = self.detuning
+        if d.kind == "shaped":
+            return self.rabi(t)[6:8]
+        return np.full_like(np.asarray(t, dtype=float), d.delta0), 0.0
 
     @property
     def is_static(self) -> bool:

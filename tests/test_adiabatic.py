@@ -275,9 +275,9 @@ class TestKernel:
         scales = (1.0, 1.0, abs(scalar[2]), abs(scalar[3]), root, root)
         for a, b, scale in zip(scalar, array, scales):
             assert abs(a - b) <= 1e-14 * scale
-        u = np.array(rotation(*scalar[:2])).reshape(3, 3)
-        u_grid = np.stack(np.broadcast_arrays(*rotation(*grid[:2])), axis=-1)
-        assert np.max(np.abs(u - u_grid[3].reshape(3, 3))) <= 1e-14
+        u = rotation(*scalar[:2])
+        u_grid = rotation(*grid[:2])
+        assert np.max(np.abs(u - u_grid[3])) <= 1e-14
         assert np.max(np.abs(u.T @ u - np.eye(3))) < 1e-14
         h = np.array([[0.0, 0.0, op], [0.0, 0.0, oc], [op, oc, delta]])
         lam = np.diag([0.0, scalar[4], scalar[5]])

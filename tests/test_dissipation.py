@@ -7,6 +7,7 @@ from threelevel.adiabatic import frame, rotation
 from threelevel.dissipation import (Configuration, DerivedRates, RateSet,
                                     derived_rates, dissipator, ketbra,
                                     lindblad_ops)
+from threelevel import evolution
 from threelevel.evolution import PropagatorSettings, propagate
 from threelevel.pulses import (ConstantPulse, DetuningSchedule, PulseSchedule,
                                make_stirap_schedule)
@@ -101,6 +102,17 @@ class TestDissipator:
             out = dissipator(ops, rho)
             assert abs(np.trace(out)) < 1e-12
             assert np.max(np.abs(out - out.conj().T)) < 1e-12
+
+    @pytest.mark.parametrize("config", list(Configuration))
+    def test_stack(self, config):
+        """The dissipator of a stack is the dissipator of each matrix."""
+        rng = np.random.default_rng(41)
+        ops = lindblad_ops(config, RateSet(*rng.uniform(0.0, 2.0, size=5)))
+        stack = np.stack([random_density(rng) for _ in range(5)])
+        out = dissipator(ops, stack)
+        assert out.shape == (5, 3, 3)
+        for rho, image in zip(stack, out):
+            np.testing.assert_array_equal(image, dissipator(ops, rho))
 
 
 def dressed_dissipator(config, rates, u, big_r):
@@ -221,6 +233,34 @@ class TestFrozenLeak:
                     before = frozen_leak(config, rates, verbatim, *angles, n)
                     after = frozen_leak(config, scaled, verbatim, *angles, n)
                     assert abs(after - before) <= self.bound(rates, scaled)
+
+
+    @pytest.mark.parametrize("config, verbatim", LEAK_SCHEMES)
+    def test_generator_diagonal_is_leak(self, config, verbatim):
+        """The dressed generator that the integrators step carries the
+        frozen leak: its diagonal entry for population n is
+        <lam_n| D(|lam_n><lam_n|) |lam_n> = -leak_n, since the coherent
+        blocks and [R, F] add nothing to a population's own rate.  The leak
+        is taken from `dissipator` and `frame`'s U on 101 times, over
+        random rates, peaks, detunings and both orderings."""
+        rng = np.random.default_rng(73)
+        times = np.linspace(0.0, 1.0, 101)
+        for _ in range(8):
+            rates = RateSet(*rng.uniform(0.0, 2.0, size=5))
+            s = make_stirap_schedule(
+                rng.uniform(30.0, 300.0),
+                DetuningSchedule(delta0=rng.uniform(-300.0, 3000.0)), 1.0,
+                rng.choice(["counterintuitive", "intuitive"]))
+            ops = lindblad_ops(config, rates, verbatim)
+            gens = evolution._generator_kernel(
+                s, evolution.dissipator_superop(ops), "adiabatic")(times)
+            u = frame(s, times).U
+            for n in range(3):
+                ket = u[..., n]
+                image = dissipator(ops, ket[..., :, None] * ket[..., None, :])
+                leak = -np.einsum("ti,tij,tj->t", ket, image, ket).real
+                assert np.max(np.abs(gens[:, n, n] + leak)) \
+                    <= self.bound(rates)
 
 
 class TestDerivedRates:

@@ -111,6 +111,35 @@ class TestRealRepresentation:
         np.testing.assert_allclose(unpack(m @ pack(rho)),
                                    -1j * (h @ rho - rho @ h), atol=1e-14)
 
+    def test_pack_stack(self):
+        """`pack` of a stack is `pack` of each matrix, and `unpack` takes
+        the packed stack back."""
+        rng = np.random.default_rng(73)
+        stack = np.stack([random_density(rng) for _ in range(5)])
+        packed = pack(stack)
+        assert packed.shape == (5, 9)
+        for k in range(5):
+            np.testing.assert_array_equal(packed[k], pack(stack[k]))
+        np.testing.assert_allclose(unpack(packed), stack, atol=1e-15)
+
+    def test_superop_of_stacked_maps(self):
+        """A stack of maps gets the stack of its maps' matrices."""
+        rng = np.random.default_rng(79)
+        hs = rng.normal(size=(4, 3, 3))
+        hs = hs + hs.swapaxes(-1, -2)
+        stacked = real_superop(
+            lambda rho: -1j * (hs[:, None] @ rho - rho @ hs[:, None]))
+        assert stacked.shape == (4, 9, 9)
+        for h, m in zip(hs, stacked):
+            np.testing.assert_array_equal(
+                m, real_superop(lambda rho: -1j * (h @ rho - rho @ h)))
+
+    def test_node_superops_are_inverse(self):
+        """W^-1 W is the identity at each of the 45 table nodes."""
+        product = evolution._NODE_W_INV @ evolution._NODE_W
+        assert product.shape == (45, 9, 9)
+        assert np.max(np.abs(product - np.eye(9))) <= 1e-15
+
 
 class TestInitialValidation:
     def test_rejects_non_hermitian(self):
@@ -412,8 +441,8 @@ class TestExpm:
 def _complex_dressed_rhs(schedule, d9, dissipative, t, r):
     """The dressed right-hand side evaluated on complex 3x3 matrices:
     -i[diag(lam), R] + [R, F] + U^T D(U R U^T) U."""
-    op, oc, dop, doc, omega, domega, _ = map(float, schedule.rabi(t))
-    dv, ddv = map(float, schedule.delta(t))
+    op, oc, dop, doc, omega, domega, dv, ddv, _ = map(float,
+                                                      schedule.rabi(t))
     theta = math.atan2(op, oc)
     phi = 0.5 * math.atan2(2.0 * omega, dv)
     root = math.hypot(dv, 2.0 * omega)
@@ -557,6 +586,28 @@ class TestDressedGenerator:
             r = rng.normal(size=9)
             self.assert_close(gen @ r,
                               _complex_static_rhs(s, d9, dissipative, r))
+
+
+    def test_one_drive_sample_per_call(self, monkeypatch):
+        """On a shaped detuning, which follows the total coupling, one
+        dressed kernel call samples the drives once."""
+        calls = []
+        rabi = PulseSchedule.rabi
+
+        def counted(schedule, t):
+            calls.append(t)
+            return rabi(schedule, t)
+
+        monkeypatch.setattr(PulseSchedule, "rabi", counted)
+        shaped = DetuningSchedule(kind="shaped", delta0=7.0, gamma1=0.5)
+        s = make_stirap_schedule(100.0, shaped, 1.0, "counterintuitive")
+        d9 = evolution.dissipator_superop(
+            lindblad_ops(Configuration.LAMBDA, self.RATES))
+        kernel = evolution._generator_kernel(s, d9, "adiabatic")
+        for times in (0.3, np.linspace(0.0, 1.0, 7)):
+            calls.clear()
+            kernel(times)
+            assert len(calls) == 1
 
 
 def one_segment(kernel, y0, times, rel_tol, abs_tol):
