@@ -199,9 +199,6 @@ def build_config(mapping: dict) -> ScenarioConfig:
             except ValueError as exc:
                 problems[key] = str(exc)
                 continue
-            if not values:
-                problems[key] = "empty sweep values"
-                continue
             if _KEY_TABLE[target][1] is int:
                 if not all(v.is_integer() for v in values):
                     problems[key] = "integer key swept with non-integral values"

@@ -28,31 +28,33 @@ an array of times to the stacked generators of either basis, on every
 schedule, by one formula: a row of weights times the basis's block
 table, [D; Bp; Bc; Bd] weighted by (1, Omega_p, Omega_c, Delta) when bare.
 
-One public `propagate` builds the kernel of the basis its settings name
-and runs one of two integrators on it.  The default, `_segmented`, uses
-that the generator does not depend on the state: it cuts the horizon into
-`_SEGMENTS` equal time segments, fixed in time whatever the output times,
-and `_dop853`, the Dormand-Prince 8(5,3) embedded pair (DOP853, with the
-tableau in `_dop853_coefficients`) run in-house, integrates the propagator
-of every segment from the identity, all segments in lockstep.  Each pass
-makes one kernel call for the 14 stage generators of every active segment,
-and step control holds each column of each propagator to the tolerances.
-`_chain` checks the segment-end propagators against the trace and chains
-them into the segment starts, and each output is its segment's
-interpolated propagator applied to its start state.  The other integrator
-is `_magnus4`, the matrix-exponential oracle, which takes
-fourth-order Magnus steps (two Gauss nodes per slice) exponentiated by
-`expm` in stacks of `_ORACLE_BLOCK` slices: seven batched matrix products
-per stack evaluate the Taylor polynomial (Paterson-Stockmeyer), and one
-more per halving squares the slices whose exponent has a 1-norm of 1 or
-more.  So each integrator runs in either basis, and the two bases and
-the two integrators are independent cross-checks of one another.  A static
-schedule (constant drives and detuning) has one constant generator G, and
-the default method then needs no integrator: `_static` takes the exact
-step map exp(G dt) of one sample interval, by one kernel and one `expm`
-call, and `_chain` checks it once and applies it once per sample, so
-rel_tol and abs_tol do not apply to it.  The oracle keeps its Magnus
-slices, and its own loop, on static schedules too.
+One public `propagate` builds the kernel of the basis its settings name,
+turns it into one map per interval between ascending edges, and hands the
+maps to `_chain`, which checks each against the trace and applies them;
+so every route is trace-checked between samples.  The default method,
+`_segmented`, uses that the generator does not depend on the state: it
+cuts the horizon into `_SEGMENTS` equal time segments, fixed in time
+whatever the output times, and `_dop853`, the Dormand-Prince 8(5,3)
+embedded pair (DOP853, with the tableau in `_dop853_coefficients`) run
+in-house, integrates the propagator of every segment from the identity,
+all segments in lockstep.  Each pass makes one kernel call for the 14
+stage generators of every active segment, and step control holds each
+column of each propagator to the tolerances.  The segment-end propagators
+go to `_chain`, and each output is its segment's interpolated propagator
+applied to its start state.  The oracle, `_magnus4`, takes fourth-order
+Magnus steps (two Gauss nodes per slice) exponentiated by `expm` in
+blocks of `_ORACLE_BLOCK` slices: seven batched matrix products per block
+evaluate the Taylor polynomial (Paterson-Stockmeyer), and one more per
+halving squares the slices whose exponent has a 1-norm of 1 or more; its
+slice maps go to `_chain`, and the samples are the slice boundaries
+nearest the uniform output times.  So each integrator runs in either
+basis, and the two bases and the two integrators are independent
+cross-checks of one another.  A static schedule (constant drives and
+detuning) has one constant generator G, and the default method then
+integrates nothing: one Magnus slice over one sample interval is the exact
+step map exp(G dt), and `_chain` checks it once and applies it once per
+sample, so rel_tol and abs_tol do not apply to it.  The oracle keeps its
+`n_slices` slices on static schedules too.
 """
 
 import functools
@@ -75,7 +77,7 @@ _DEFAULT_REL_TOL = 1e-9
 
 METHODS = ("adaptive_rk", "expm_oracle")
 BASES = ("bare", "adiabatic")
-_ORACLE_BLOCK = 128   # slices per batched expm call; bounds peak memory
+_ORACLE_BLOCK = 128   # slices per batched expm call; bounds its temporaries
 _SEGMENTS = 64        # time segments `_dop853` steps in lockstep
 
 
@@ -302,8 +304,8 @@ def _generator_kernel(schedule: PulseSchedule, d9: np.ndarray, basis: str):
     `_dressed_table`, weighted by the quasienergies, the rotation rates and
     the 23 harmonic products of the frame angles that its parity keeps,
     from `adiabatic.phasors` and `_harmonic_weights`.  A static schedule
-    gets no formula of its own: the default method reads its kernel once
-    (`_static`), and the oracle at its Gauss nodes, as on any schedule.
+    gets no formula of its own: both methods read its kernel at Magnus
+    Gauss nodes (`_magnus4`), as on any schedule.
     """
     if basis == "bare":
         table = np.concatenate([d9.reshape(1, 81), _DRIVES])
@@ -596,8 +598,9 @@ def _chain(maps, edges, y0):
     interval, and a non-finite map fails too.  `maps` holds one map per
     interval, or one map, shape (1, 9, 9), that every interval shares; each
     distinct map is checked once, and a leaking shared map is named as the
-    first interval.  Every map of the default method passes here, so the
-    trace holds between samples too."""
+    first interval.  Every map of every method passes here: the segment
+    propagators of `_segmented`, the oracle's slice maps and a static
+    schedule's step map, so the trace holds between samples too."""
     drift = np.abs(_TRACE @ maps - _TRACE).max(axis=-1)
     if not drift.max() <= 10 * TRACE_TOL:
         k = int(np.argmax(drift))          # a nan drift counts as the largest
@@ -629,18 +632,6 @@ def _segmented(kernel, y0, times, rel_tol, abs_tol):
     starts = _chain(ends, edges, y0)
     owner = np.searchsorted(edges[1:-1], times, side="right")
     return np.matmul(phis, starts[owner, :, None])[..., 0]
-
-
-def _static(kernel, y0, times):
-    """States at the uniform `times`, from y0 at times[0], of dy/dt = G y
-    for the constant generator G = kernel(times[0]): the step map
-    P = exp(G dt) of one sample interval, computed once by `expm` (scaling
-    and squaring; Moler & Van Loan, SIAM Rev. 45, 3 (2003)), goes to
-    `_chain` as the one map that every interval shares, so the trace check
-    runs on it once.  This is exact up to rounding, so no tolerance applies.
-    """
-    step = expm(kernel(times[0]) * (times[1] - times[0]))
-    return _chain(step[None], times, y0)
 
 
 # Row j holds the coefficients 1/(4j + i)!, i = 0..3, of
@@ -684,45 +675,37 @@ def expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _magnus4(kernel, y0, horizon, n_slices, samples):
-    """States of dy/dt = kernel(t) y, from y0 at t = 0, at the slice
-    boundaries nearest `samples` uniform times, and those boundaries' times,
-    under fourth-order Magnus steps (the verification oracle).
+def _magnus4(kernel, edges):
+    """Fourth-order Magnus maps of dy/dt = kernel(t) y over the uniform
+    slices between `edges`, shape (len(edges) - 1, 9, 9): the verification
+    oracle's slice propagators, and a static schedule's one step map.
 
-    On each of `n_slices` uniform slices of width h the generator is sampled
-    at the two Gauss-Legendre nodes, A1 and A2, and the slice propagator is
-    the exact exponential of
+    On each slice of width h the generator is sampled at the two
+    Gauss-Legendre nodes, A1 and A2, and the slice map is the exact
+    exponential of
 
         Omega = h/2 (A1 + A2) + (sqrt(3)/12) h^2 [A2, A1],
 
     which is fourth order in slice width.  Slices are exponentiated in
-    batched blocks by `expm`, and no Runge-Kutta code is involved, so the
-    result is an independent check of the adaptive integrator.  The
-    commutator term does not keep a step completely positive, so slices far
-    too coarse for the drive can give negative populations, which
-    `_assemble` rejects.
+    blocks of `_ORACLE_BLOCK` by `expm`, and no Runge-Kutta code is
+    involved, so the oracle is an independent check of the adaptive
+    integrator.  The commutator term does not keep a step completely
+    positive, so slices far too coarse for the drive can give negative
+    populations, which `_assemble` rejects.  On a constant generator G the
+    two nodes give the same G, bit for bit, so the commutator is exactly 0
+    and the map is exp(G h), exact up to rounding.
     """
-    boundaries = np.linspace(0.0, horizon, n_slices + 1)
-    keep = np.rint(np.linspace(0, n_slices, samples)).astype(int).tolist()
-    h = boundaries[1] - boundaries[0]
-    mids = 0.5 * (boundaries[:-1] + boundaries[1:])
+    h = edges[1] - edges[0]
+    mids = 0.5 * (edges[:-1] + edges[1:])
     gauss = np.array([-1.0, 1.0]) * h / (2.0 * math.sqrt(3.0))
-
-    out = np.empty((samples, y0.size))
-    out[0] = r = y0
-    j = 1
-    for start in range(0, n_slices, _ORACLE_BLOCK):
+    maps = np.empty((len(mids), 9, 9))
+    for start in range(0, len(mids), _ORACLE_BLOCK):
         a = kernel(mids[start:start + _ORACLE_BLOCK, None] + gauss)
         a1, a2 = a[:, 0], a[:, 1]                 # (block, 9, 9) each
         omega = (a2 @ a1 - a1 @ a2) * (math.sqrt(3.0) / 12.0 * h * h)
         omega += (0.5 * h) * (a1 + a2)
-        # keep[-1] is the last boundary, so j stays below samples here
-        for k, prop in enumerate(expm(omega), start + 1):
-            r = np.dot(prop, r)
-            if k == keep[j]:                      # boundary k is a sample
-                out[j] = r
-                j += 1
-    return out, boundaries[keep]
+        maps[start:start + _ORACLE_BLOCK] = expm(omega)
+    return maps
 
 
 # --- public propagator -----------------------------------------------------
@@ -737,11 +720,13 @@ def propagate(config: Configuration, rates: RateSet, schedule: PulseSchedule,
     density matrix, or the dressed one, R(0) = U(0)^dag rho(0) U(0).
     `settings.method` picks the integrator: for "adaptive_rk", `_segmented`
     at `samples` uniform times, held to `rel_tol` and `abs_tol`, or, when
-    `schedule.is_static`, `_static`, the exact step map of one sample
-    interval, to which the tolerances do not apply, both through `_chain`;
-    for "expm_oracle", `_magnus4` on `settings.n_slices` slices, static or
-    not.  Either way the Trajectory carries the bare and the dressed
-    density matrices and the frame diagnostics.
+    `schedule.is_static`, one `_magnus4` slice over the first sample
+    interval, the exact step map that every interval shares, to which the
+    tolerances do not apply; for "expm_oracle", `_magnus4` on
+    `settings.n_slices` slices, static or not, sampled at the slice
+    boundaries nearest `samples` uniform times.  Every route's maps go
+    through `_chain`.  Either way the Trajectory carries the bare and the
+    dressed density matrices and the frame diagnostics.
     """
     settings = settings or PropagatorSettings()
     settings.check_samples(samples)
@@ -749,12 +734,14 @@ def propagate(config: Configuration, rates: RateSet, schedule: PulseSchedule,
     kernel = _generator_kernel(schedule, dissipator_superop(
         lindblad_ops(config, rates, xi_appendix_verbatim)), settings.basis)
     if settings.method == "expm_oracle":
-        ys, times = _magnus4(kernel, y0, schedule.horizon, settings.n_slices,
-                             samples)
+        edges = np.linspace(0.0, schedule.horizon, settings.n_slices + 1)
+        keep = np.rint(np.linspace(0, settings.n_slices, samples)).astype(int)
+        ys = _chain(_magnus4(kernel, edges), edges, y0)[keep]
+        times = edges[keep]
     else:
         times = np.linspace(0.0, schedule.horizon, samples)
         if schedule.is_static:
-            ys = _static(kernel, y0, times)
+            ys = _chain(_magnus4(kernel, times[:2]), times, y0)
         else:
             ys = _segmented(kernel, y0, times, settings.rel_tol,
                             settings.abs_tol)

@@ -106,6 +106,11 @@ class TestConfigParsing:
     def test_non_numeric_sweep_target_rejected(self):
         with pytest.raises(ConfigError):
             build_config(parse_config_text("sweep.pulses.ordering = 1, 2\n"))
+        # an empty value list is one empty token, which is no number
+        with pytest.raises(ConfigError) as err:
+            build_config(parse_config_text("sweep.detuning.delta0 =\n"))
+        assert "could not convert" in err.value.problems[
+            "sweep.detuning.delta0"]
 
     def test_validation_catches_bad_fields(self):
         with pytest.raises(ConfigError) as err:
