@@ -27,6 +27,9 @@ same function at its nodes.  One grid kernel, `_generator_kernel`, maps
 an array of times to the stacked generators of either basis, on every
 schedule, by one formula: a row of weights times the basis's block
 table, [D; Bp; Bc; Bd] weighted by (1, Omega_p, Omega_c, Delta) when bare.
+The weights are stored one row per block, time innermost, and the kernel
+can scale them before the product, which is how `_dop853` gets its
+generators already multiplied by each segment's step.
 
 One public `propagate` builds the kernel of the basis its settings name,
 turns it into one map per interval between ascending edges, and hands the
@@ -38,10 +41,15 @@ whatever the output times, and `_dop853`, the Dormand-Prince 8(5,3)
 embedded pair (DOP853, with the tableau in `_dop853_coefficients`) run
 in-house, integrates the propagator of every segment from the identity,
 all segments in lockstep.  Each pass makes one kernel call for the 14
-stage generators of every active segment, and step control holds each
-column of each propagator to the tolerances.  The segment-end propagators
-go to `_chain`, and each output is its segment's interpolated propagator
-applied to its start state.  The oracle, `_magnus4`, takes fourth-order
+stage generators of every active segment, scaled by its step, and step
+control holds each column of each propagator to the tolerances.  The
+interpolant is linear in the stages, so all the outputs a step holds come
+from one product of its interpolant with their weights.  The segment-end
+propagators go to `_chain`, and each output is its segment's interpolated
+propagator applied to its start state.  `_assemble` checks the trace,
+Hermiticity, positivity and purity of every sample; positivity is
+certified by the pivots of an LDL^H factorization, and `eigvalsh` runs
+only where they do not certify it.  The oracle, `_magnus4`, takes fourth-order
 Magnus steps (two Gauss nodes per slice) exponentiated by `expm` in
 blocks of `_ORACLE_BLOCK` slices: seven batched matrix products per block
 evaluate the Taylor polynomial (Paterson-Stockmeyer), and one more per
@@ -123,15 +131,15 @@ class PropagatorSettings:
 class Trajectory:
     """Sampled density-matrix history with per-sample diagnostics.  The
     dressed frame at the sample times (angles, quasienergies, U, drive
-    values, floor flags) is `frame`; `times`, the populations and the
-    purity are read off it, `rho` and `R`."""
+    values, floor flags) is `frame`; `times`, the populations, the purity
+    and the smallest eigenvalue are read off it, `rho` and `R`, the last
+    two evaluated once, on first use."""
 
     rho: np.ndarray              # (n, 3, 3) bare basis
     R: np.ndarray                # (n, 3, 3) dressed basis
     frame: adiabatic.AdiabaticFrame
     trace_err_max: float
     hermiticity_err_max: float
-    min_eigenvalue: float
 
     @property
     def times(self) -> np.ndarray:
@@ -153,6 +161,12 @@ class Trajectory:
         """(n,) Tr(rho^2): 1 for a pure state, 1/3 for the mixed one,
         evaluated once."""
         return np.einsum("nij,nji->n", self.rho, self.rho).real
+
+    @functools.cached_property
+    def min_eigenvalue(self) -> float:
+        """The smallest eigenvalue of `rho` over the samples, by `eigvalsh`,
+        evaluated once, on first use."""
+        return float(np.linalg.eigvalsh(self.rho).min())
 
 
 # --- real 9-vector representation -----------------------------------------
@@ -222,28 +236,29 @@ _TRACE = pack(np.eye(3))
 
 def _harmonic_weights(e_theta, e_phi, out):
     """The 23 harmonic products of the frame angles that the dressed table
-    keeps, from exp(i theta) and exp(i phi) of shape s, written into `out`
-    of shape s + (23,) and returned, in table order: (1, cos 2theta,
-    cos 4theta) times the even harmonics (1, cos 2phi, sin 2phi, cos 4phi,
-    sin 4phi), then (sin 2theta, sin 4theta) times the odd ones (cos phi,
-    sin phi, cos 3phi, sin 3phi), row-major.  The factors are float views
-    of one complex array (1, exp(2i theta), exp(4i theta), i, exp(2i phi),
-    exp(4i phi), exp(i phi), exp(3i phi)), whose 1 and i supply the leading
-    1 of the cosines of theta and of the even harmonics of phi."""
+    keeps, from exp(i theta) and exp(i phi) of shape s, written into the
+    rows of `out`, shape (23,) + s, and returned, in table order: (1,
+    cos 2theta, cos 4theta) times the even harmonics (1, cos 2phi, sin 2phi,
+    cos 4phi, sin 4phi), then (sin 2theta, sin 4theta) times the odd ones
+    (cos phi, sin phi, cos 3phi, sin 3phi), row-major.  The factors are the
+    real and imaginary parts of (1, exp(2i theta), exp(4i theta), i,
+    exp(2i phi), exp(4i phi), exp(i phi), exp(3i phi)), whose 1 and i supply
+    the leading 1 of the cosines of theta and of the even harmonics of phi;
+    each product multiplies two rows over s, innermost."""
     shape = np.shape(e_phi)
-    waves = np.empty(shape + (8,), dtype=complex)
-    waves[..., 0:4:3] = (1.0, 1j)
-    waves[..., 6] = e_phi
-    np.multiply(e_theta, e_theta, out=waves[..., 1])
-    np.multiply(waves[..., 1], waves[..., 1], out=waves[..., 2])
-    np.multiply(e_phi, e_phi, out=waves[..., 4])
-    np.multiply(waves[..., 4], waves[..., 4], out=waves[..., 5])
-    np.multiply(waves[..., 4], e_phi, out=waves[..., 7])
-    flat = waves.view(float)
-    np.multiply(flat[..., 0:6:2, None], flat[..., None, 7:12],
-                out=out[..., :15].reshape(shape + (3, 5)))
-    np.multiply(flat[..., 3:6:2, None], flat[..., None, 12:],
-                out=out[..., 15:].reshape(shape + (2, 4)))
+    waves = np.empty((8,) + shape, dtype=complex)
+    waves[0], waves[3] = 1.0, 1j
+    waves[6] = e_phi
+    np.multiply(e_theta, e_theta, out=waves[1])
+    np.multiply(waves[1], waves[1], out=waves[2])
+    np.multiply(e_phi, e_phi, out=waves[4])
+    np.multiply(waves[4], waves[4], out=waves[5])
+    np.multiply(waves[4], e_phi, out=waves[7])
+    flat = np.stack([waves.real, waves.imag], axis=1).reshape((16,) + shape)
+    np.multiply(flat[0:6:2, None], flat[None, 7:12],
+                out=out[:15].reshape((3, 5) + shape))
+    np.multiply(flat[3:6:2, None], flat[None, 12:],
+                out=out[15:].reshape((2, 4) + shape))
     return out
 
 
@@ -269,7 +284,8 @@ def _harmonic_weights(e_theta, e_phi, out):
 # depend on the rates and are built here once.
 _NODES = (np.repeat(np.exp(1j * np.pi / 5 * np.arange(5)), 9),
           np.tile(np.exp(2j * np.pi / 9 * np.arange(9)), 5))
-_HARMONIC_INV = np.linalg.pinv(_harmonic_weights(*_NODES, np.empty((45, 23))))
+_HARMONIC_INV = np.linalg.pinv(_harmonic_weights(*_NODES,
+                                                  np.empty((23, 45))).T)
 _NODE_U = adiabatic.rotation(*_NODES)[:, None]           # (45, 1, 3, 3)
 _NODE_W = real_superop(lambda r: _NODE_U @ r @ _NODE_U.mT)
 _NODE_W_INV = real_superop(lambda r: _NODE_U.mT @ r @ _NODE_U)
@@ -294,10 +310,15 @@ def _generator_kernel(schedule: PulseSchedule, d9: np.ndarray, basis: str):
     array of times t to the stacked real generators, shape t.shape + (9, 9),
     written into `out` if one is given, of the bare (`basis="bare"`) or the
     dressed (`"adiabatic"`) master equation with bare-basis dissipator
-    superoperator `d9`.
+    superoperator `d9`; with `scale`, an array that broadcasts to t.shape,
+    each generator is multiplied by its entry of `scale`.
 
     In both bases the generator is a weight row times a table of fixed
-    blocks, built here once per propagation: one matmul per call.  The bare
+    blocks, built here once per propagation: one matmul per call.  The
+    weights are stored one row per block with the times innermost, shape
+    (blocks, t.size), so each weight is written and scaled over contiguous
+    rows; `scale` multiplies the weight rows, not the 81 entries of each
+    generator, before the matmul.  The bare
     table is [D; Bp; Bc; Bd], weighted by (1, Omega_p, Omega_c, Delta), on
     any schedule; each of the 81 entries is nonzero in at most one of the
     four blocks, so the sum is exact.  The dressed table is
@@ -311,28 +332,31 @@ def _generator_kernel(schedule: PulseSchedule, d9: np.ndarray, basis: str):
         table = np.concatenate([d9.reshape(1, 81), _DRIVES])
 
         def weigh(t, w):
-            w[..., 0] = 1.0
-            w[..., 1] = schedule.pump.value(t)
-            w[..., 2] = schedule.stokes.value(t)
-            w[..., 3] = schedule.delta(t)[0]
+            w[0] = 1.0
+            w[1] = schedule.pump.value(t)
+            w[2] = schedule.stokes.value(t)
+            w[3] = schedule.delta(t)[0]
     else:
         table = _dressed_table(d9)
 
         def weigh(t, w):
             e_theta, e_phi, theta_dot, phi_dot, lam2, lam3 = \
                 adiabatic.phasors(*schedule.rabi(t)[:8])
-            w[..., 0], w[..., 1], w[..., 4] = lam2, lam3, phi_dot
-            np.multiply(theta_dot[..., None], e_phi[..., None].view(float),
-                        out=w[..., 2:4])
-            _harmonic_weights(e_theta, e_phi, w[..., 5:])
+            w[0], w[1], w[4] = lam2, lam3, phi_dot
+            np.multiply(theta_dot, e_phi.real, out=w[2])
+            np.multiply(theta_dot, e_phi.imag, out=w[3])
+            _harmonic_weights(e_theta, e_phi, w[5:])
 
-    def kernel(t, out=None):
+    def kernel(t, out=None, scale=None):
         t = np.asarray(t, dtype=float)
         if out is None:
             out = np.empty(t.shape + (9, 9))
-        weights = np.empty(t.shape + (len(table),))
-        weigh(t, weights)
-        np.matmul(weights, table, out=out.reshape(t.shape + (81,)))
+        weights = np.empty((len(table), t.size))
+        weigh(t.reshape(t.size), weights)
+        if scale is not None:
+            rows = weights.reshape((len(table),) + t.shape)
+            rows *= scale
+        np.matmul(weights.T, table, out=out.reshape(t.size, 81))
         return out
     return kernel
 
@@ -369,22 +393,50 @@ def _invariant_margins(settings: PropagatorSettings, static: bool) -> tuple:
     return 10 * POSITIVITY_TOL * scale, 10 * PURITY_TOL * scale
 
 
+def _pivots_positive(rho, shift) -> bool:
+    """Whether every pivot of the LDL^H factorization, without pivoting, of
+    rho + shift I is positive, for every matrix of the stack, read from
+    its lower triangle.  The pivots are all positive exactly when the matrix
+    is positive definite, and the factorization is backward stable (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 10), so positive
+    computed pivots certify that the smallest eigenvalue of rho is above
+    -shift up to rounding.  A zero or negative pivot, and the inf or nan it
+    leaves in the later ones, certifies nothing and warns of nothing."""
+    d = np.diagonal(rho, axis1=-2, axis2=-1).real + shift
+    a10, a20, a21 = rho[:, 1, 0], rho[:, 2, 0], rho[:, 2, 1]
+    with np.errstate(all="ignore"):
+        d2 = d[:, 1] - (a10.real ** 2 + a10.imag ** 2) / d[:, 0]
+        c = a21 - a20 * a10.conj() / d[:, 0]
+        d3 = d[:, 2] - (a20.real ** 2 + a20.imag ** 2) / d[:, 0] \
+            - (c.real ** 2 + c.imag ** 2) / d2
+    return bool(np.all((d[:, 0] > 0) & (d2 > 0) & (d3 > 0)))
+
+
 def _assemble(rho, fr: adiabatic.AdiabaticFrame,
               margins: tuple) -> Trajectory:
     """Build a Trajectory from bare-basis samples at the frame's times,
     checking invariants; `margins` are `_invariant_margins`.  A sample
-    with a non-finite entry raises PropagationError naming its time."""
+    with a non-finite entry raises PropagationError naming its time.
+
+    The Hermiticity error is max |rho - rho^dag| over the entries, read
+    from the three coherence pairs, |rho_ij - conj(rho_ji)| for i < j (the
+    same for j, i), and the diagonal, 2 |Im rho_ii|.  Positivity is
+    certified by `_pivots_positive` at half the positivity margin m: then
+    no eigenvalue is below -m.  Only when a pivot fails does `eigvalsh` run
+    (`Trajectory.min_eigenvalue`), and a sample with an eigenvalue below -m
+    fails."""
     finite = np.isfinite(rho).all(axis=(-2, -1))
     if not finite.all():
         raise PropagationError(
             f"non-finite state at t={fr.t[np.argmin(finite)]:.6g}")
     traces = np.einsum("nii->n", rho).real
     trace_err = float(np.max(np.abs(traces - 1.0)))
-    herm_err = float(np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))))
-    eigmin = float(np.linalg.eigvalsh(rho).min())
+    pairs = rho[:, _UPPER[0], _UPPER[1]] - rho[:, _UPPER[1], _UPPER[0]].conj()
+    herm_err = float(max(np.abs(pairs).max(), 2 * np.abs(
+        np.diagonal(rho, axis1=-2, axis2=-1).imag).max()))
     traj = Trajectory(rho=rho, R=fr.U.conj().swapaxes(-1, -2) @ rho @ fr.U,
                       frame=fr, trace_err_max=trace_err,
-                      hermiticity_err_max=herm_err, min_eigenvalue=eigmin)
+                      hermiticity_err_max=herm_err)
     purity = traj.purity
 
     if trace_err > 10 * TRACE_TOL:
@@ -392,8 +444,10 @@ def _assemble(rho, fr: adiabatic.AdiabaticFrame,
     if herm_err > 10 * HERMITICITY_TOL:
         raise PropagationError(f"hermiticity violated by {herm_err:.3e}")
     positivity, purity_margin = margins
-    if eigmin < -positivity:
-        raise PropagationError(f"negative population {eigmin:.3e}")
+    if not _pivots_positive(rho, 0.5 * positivity) \
+            and traj.min_eigenvalue < -positivity:
+        raise PropagationError(
+            f"negative population {traj.min_eigenvalue:.3e}")
     if purity.max() > 1.0 + purity_margin \
             or purity.min() < 1.0 / 3.0 - purity_margin:
         raise PropagationError("purity left [1/3, 1]")
@@ -456,14 +510,19 @@ def _dop853(kernel, block, edges, times, rel_tol, abs_tol):
     The segments advance in lockstep, one attempt each per pass: one
     kernel call builds the stage generators of every active segment, at
     the 14 `nodes` of `_dop853_tableau` (stage 11 and the step end share
-    t + h), which are scaled by their step in place, and each stage is one
-    `np.dot` of a tableau row with the stage buffer (h K, stage-major) and
-    one batched matmul.  On a pass where some accepted step holds output
-    times, the three extra stages and the interpolant's seven rows are
-    computed for every active segment, and those outputs are evaluated at
-    once.  A
-    segment leaves the pass when it reaches its end.  A step below ten
-    spacings of the floating-point numbers at t raises PropagationError.
+    t + h), already multiplied by their step through the kernel's `scale`,
+    and each stage is one `np.dot` of a tableau row with the stage buffer
+    (h K, stage-major) and one batched matmul.  On a pass where some
+    accepted step holds output times, the three extra stages and the
+    interpolant's seven rows are computed for every active segment.  The
+    interpolant is linear in the stages (Hairer, Norsett & Wanner, II.6),
+    so the outputs of the pass are one batched product over the owning
+    segments: each segment's seven interpolant rows times a block of
+    weights, one row per output it owns, padded to the largest count with
+    copies of its last output, which go to a spare row; its state is added
+    after.  A segment leaves the pass when it reaches its end.  A step
+    below ten spacings of the floating-point numbers at t raises
+    PropagationError.
     """
     nodes, a, errors, dense, n, order = _dop853_tableau()
     exponent = -1 / (order + 1)
@@ -500,7 +559,7 @@ def _dop853(kernel, block, edges, times, rel_tol, abs_tol):
     stage_buf = np.empty((len(a) + 1) * segments * width)
     arg_buf = np.empty(segments * width)
     interp_buf = np.empty(len(dense) * segments * width)
-    outputs = np.empty((len(times), width))
+    outputs = np.empty((len(times) + 1, width))   # and a spare row
     ends = np.empty((segments, width))
     steps = 0
     while ids.size:
@@ -518,8 +577,7 @@ def _dop853(kernel, block, edges, times, rel_tol, abs_tol):
                 f"required step size is less than spacing between numbers")
         t_new = np.minimum(t + h_abs, bound)
         h = t_new - t
-        kernel(t[:, None] + nodes * h[:, None], out=gens)
-        gens *= h[:, None, None, None]
+        kernel(t[:, None] + nodes * h[:, None], out=gens, scale=h[:, None])
         stages[0] = y.reshape(size)
         np.multiply(f, h[:, None], out=stages[1].reshape(active, width))
         arg = arg_buf[:size]
@@ -563,17 +621,22 @@ def _dop853(kernel, block, edges, times, rel_tol, abs_tol):
             np.dot(dense, stages[1:], out=interp)
             interp = interp.reshape(len(dense), active, width)
             pos = np.flatnonzero(owns)
-            count = end[pos] - done[pos]
-            seg = np.repeat(pos, count)
-            out = np.arange(count.sum()) + np.repeat(
-                done[pos] - np.cumsum(count) + count, count)
+            first, stop = done[pos], end[pos]
+            # slot j of owning segment i is output first[i] + j; a slot
+            # past its segment's last output repeats that output's time
+            # and goes to the spare last row
+            count = stop - first
+            ahead = np.arange(count.max())
+            slots = first[:, None] + np.minimum(ahead, count[:, None] - 1)
             # y + sum_k w_k(x) F_k, w_k the running products of x, 1 - x,
             # x, ...: scipy's nested evaluation of the interpolant, expanded
-            x = (times[out] - t[seg]) / h[seg]
+            x = (times[slots] - t[pos, None]) / h[pos, None]
             w = np.cumprod(np.stack([x, 1 - x] * 3 + [x], axis=-1), axis=-1)
-            outputs[out] = y[seg] + np.matmul(
-                w[:, None], interp[:, seg].swapaxes(0, 1))[:, 0]
-            done[pos] = end[pos]
+            values = np.matmul(w, interp[:, pos].swapaxes(0, 1))
+            values += y[pos, None]
+            outputs[np.where(ahead < count[:, None], slots, len(times))] = \
+                values
+            done[pos] = stop
 
         steps += int(np.count_nonzero(ok))
         y[ok] = y_new[ok]
@@ -587,7 +650,7 @@ def _dop853(kernel, block, edges, times, rel_tol, abs_tol):
             ids, t, bound, h_abs, rejected, y, f, done, last = (
                 v[keep] for v in (ids, t, bound, h_abs, rejected, y, f,
                                   done, last))
-    return (outputs.reshape(len(times), dim, cols),
+    return (outputs[:-1].reshape(len(times), dim, cols),
             ends.reshape(block.shape), steps)
 
 

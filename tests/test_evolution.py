@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -775,10 +776,10 @@ class TestStepCounts:
         def recording(schedule, d9, basis):
             kernel = make(schedule, d9, basis)
 
-            def at(t, out=None):
+            def at(t, out=None, scale=None):
                 if out is not None:
                     spans.append(np.shape(t))
-                return kernel(t, out)
+                return kernel(t, out, scale)
             return at
 
         monkeypatch.setattr(evolution, "_generator_kernel", recording)
@@ -844,10 +845,12 @@ class TestSegments:
         def leaky(schedule, d9, basis):
             kernel = make(schedule, d9, basis)
 
-            def at(t, out=None):
-                gens = kernel(t, out)
-                gens += 1e-4 * np.sin(2 * np.pi * np.asarray(t))[
-                    ..., None, None] * np.eye(9)
+            def at(t, out=None, scale=None):
+                gens = kernel(t, out, scale)
+                leak = 1e-4 * np.sin(2 * np.pi * np.asarray(t))
+                if scale is not None:
+                    leak = leak * scale      # as the kernel scales its rows
+                gens += leak[..., None, None] * np.eye(9)
                 return gens
             return at
 
@@ -866,11 +869,11 @@ class TestSegments:
     def test_step_underflow(self):
         """y' = y / (0.49 - t) blows up inside one segment, whose steps
         shrink until they underflow."""
-        def kernel(t, out=None):
+        def kernel(t, out=None, scale=1.0):
             t = np.asarray(t, dtype=float)
             if out is None:
                 out = np.empty(t.shape + (9, 9))
-            out[...] = np.eye(9) / (0.49 - t)[..., None, None]
+            out[...] = np.eye(9) * (scale / (0.49 - t))[..., None, None]
             return out
 
         times = np.linspace(0.0, 1.0, 11)
@@ -1323,6 +1326,114 @@ class TestTrajectoryInvariants:
             PropagatorSettings(**{name: value})
 
 
+class TestPositivityCertificate:
+    """`_assemble` certifies positivity by the LDL^H pivots of
+    rho + (m/2) I, m the positivity margin, and calls `eigvalsh` only when
+    a pivot fails: it raises exactly when the eigvalsh rule (an eigenvalue
+    below -m) does, with the same message, and a zero or negative pivot
+    warns of nothing."""
+
+    M = 10 * evolution.POSITIVITY_TOL
+    LAMBDA_MIN = [-2 * M, -1.001 * M, -0.999 * M, -M / 4, 0.0]
+
+    def stack(self, rng, sample):
+        """Six random density matrices with `sample` fourth."""
+        rhos = [random_density(rng) for _ in range(6)]
+        rhos.insert(3, sample)
+        return np.array(rhos)
+
+    def rotated(self, rng, lam_min):
+        """A unit-trace Hermitian matrix with smallest eigenvalue lam_min,
+        in a random eigenbasis."""
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3))
+                            + 1j * rng.normal(size=(3, 3)))
+        lam = np.array([lam_min, 0.3, 0.7 - lam_min])
+        return (q * lam) @ q.conj().T
+
+    def samples(self):
+        rng = np.random.default_rng(29)
+        half = self.M / 2
+        cases = [random_density(rng) for _ in range(4)]
+        cases += [self.rotated(rng, lam) for lam in self.LAMBDA_MIN]
+        # zero first and second pivots, which leave 0/0 in the later ones,
+        # and a negative first pivot
+        cases += [np.diag([-half, 0.4, 0.6 + half]).astype(complex),
+                  np.diag([0.4, -half, 0.6 + half]).astype(complex),
+                  np.diag([-self.M, 0.4, 0.6 + self.M]).astype(complex)]
+        return [self.stack(rng, case) for case in cases]
+
+    def test_same_decision_as_eigvalsh(self):
+        s = static_schedule(100.0, 100.0, 1000.0)
+        fr = frame(s, np.linspace(0.0, 1.0, 7))
+        margins = (self.M, 10 * evolution.PURITY_TOL)
+        raised = []
+        for rho in self.samples():
+            eigmin = float(np.linalg.eigvalsh(rho).min())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                certified = evolution._pivots_positive(rho, self.M / 2)
+                if eigmin < -self.M:
+                    with pytest.raises(PropagationError) as info:
+                        evolution._assemble(rho, fr, margins)
+                    assert str(info.value) == \
+                        f"negative population {eigmin:.3e}"
+                else:
+                    traj = evolution._assemble(rho, fr, margins)
+                    # eigvalsh runs only when the pivots do not certify
+                    assert ("min_eigenvalue" in vars(traj)) == (
+                        not certified)
+                    assert traj.min_eigenvalue == eigmin
+            # the certificate is sound, and not vacuous
+            assert not certified or eigmin > -self.M / 2
+            assert certified or eigmin < 0.0
+            raised.append(eigmin < -self.M)
+        assert raised == [False] * 4 + [True, True] + [False] * 6
+
+    def test_hermiticity_error_from_pairs(self):
+        """The Hermiticity error, read from the three coherence pairs and
+        the diagonal, is max |rho - rho^dag| bit for bit."""
+        rng = np.random.default_rng(7)
+        s = static_schedule(100.0, 100.0, 1000.0)
+        fr = frame(s, np.linspace(0.0, 1.0, 7))
+        rho = np.array([random_density(rng) for _ in range(7)])
+        rho += 1e-11 * (rng.normal(size=rho.shape)
+                        + 1j * rng.normal(size=rho.shape))
+        traj = evolution._assemble(rho, fr, (self.M, 1e-9))
+        assert traj.hermiticity_err_max == float(
+            np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))))
+        assert traj.hermiticity_err_max > 0.0
+
+    def test_min_eigenvalue_evaluated_once(self):
+        s = static_schedule(100.0, 100.0, 1000.0)
+        traj = propagate(Configuration.LAMBDA, RateSet(), s, SIG11,
+                         samples=5)
+        assert "min_eigenvalue" not in vars(traj)
+        assert traj.min_eigenvalue == float(
+            np.linalg.eigvalsh(traj.rho).min())
+        assert "min_eigenvalue" in vars(traj)
+
+
+class TestManyOutputsPerStep:
+    """A step of the segmented route that holds many output times
+    evaluates all of them in one product; the steps do not depend on the
+    output grid, so 4001 and 201 samples of a fig-4 point agree at the
+    201 shared times."""
+
+    @pytest.mark.parametrize("basis", evolution.BASES)
+    def test_shared_rows(self, basis):
+        s = make_stirap_schedule(100.0, DetuningSchedule(delta0=100.0), 1.0,
+                                 "intuitive")
+        rates = RateSet(gamma1=0.5, gamma2=0.5, gamma2_deph=0.1)
+        kernel = evolution._generator_kernel(s, evolution.dissipator_superop(
+            lindblad_ops(Configuration.LAMBDA, rates)), basis)
+        u = frame(s, 0.0).U if basis == "adiabatic" else np.eye(3)
+        y0 = pack(u.conj().T @ SIG11 @ u)
+        fine, coarse = (evolution._segmented(
+            kernel, y0, np.linspace(0.0, 1.0, n), 1e-9, 1e-11)
+            for n in (4001, 201))
+        assert np.max(np.abs(fine[::20] - coarse)) <= 1e-13
+
+
 class TestHarmonicWeights:
     """The dressed kernel's harmonic weights, built from the drives by
     square roots and complex products, against `harmonics` of the atan2
@@ -1345,7 +1456,7 @@ class TestHarmonicWeights:
         theta = np.arctan2(sample.omega_p, sample.omega_c)
         phi = 0.5 * np.arctan2(2.0 * sample.omega, delta)
         got = evolution._harmonic_weights(*adiabatic.phasors(*drives)[:2],
-                                          np.empty((3, 23)))
+                                          np.empty((23, 3))).T
         ref = parity_products(harmonics(2.0 * theta, 2), harmonics(phi, 4))
         assert np.max(np.abs(got - ref)) <= 1e-13
 
